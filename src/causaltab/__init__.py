@@ -4,99 +4,16 @@ Learns a causal graph with prior-knowledge constraints, quantifies edge
 strengths by covariate adjustment, ranks outcome-linked features with
 bivariate tests, and distills the causal features into a depth-limited
 decision tree validated against a random-feature permutation baseline.
+
+The package namespace holds the library entry points and the types they
+return; everything else is imported from its module.
 """
 
-from . import errors
-from .data import (
-    ColumnSchema,
-    Dataset,
-    DatasetView,
-    StandardizedMatrix,
-    SummaryTable,
-    complete_cases,
-    load_csv,
-    load_schema,
-    standardize,
-    summarize,
-)
-from .discovery import (
-    FciResult,
-    LearnConfig,
-    SkeletonResult,
-    apply_orientation_rules,
-    learn_skeleton,
-    mixed_ci_test,
-    oracle_ci_test,
-    orient_v_structures,
-    possible_dsep_prune,
-    run_fci,
-)
-from .effects import (
-    EffectEstimate,
-    annotate_strengths,
-    effect_table,
-    enumerate_parent_sets,
-    estimate_effect,
-)
-from .graph import (
-    ARROW,
-    CIRCLE,
-    TAIL,
-    Edge,
-    MixedGraph,
-    PriorKnowledge,
-    SepSetStore,
-    StyleConfig,
-    neighbors_within,
-    parse_dot,
-    to_dot,
-)
-from .pipeline import (
-    PipelineConfig,
-    PipelineReport,
-    run_full,
-    step1_per_category,
-    step2_integrated,
-    step3_predictive,
-    write_report,
-)
-from .stats import (
-    ContingencyTable2x2,
-    FoldIncrease,
-    TestResult,
-    chisq_sf,
-    fisher_exact,
-    fisher_z_ci_test,
-    fold_increase,
-    g_squared_test,
-    normal_cdf,
-    ols,
-    point_biserial,
-)
-from .synth import (
-    DiscreteBN,
-    LinearSEM,
-    d_separated,
-    make_clinical_synth,
-    sample_bn,
-    sample_sem,
-    sem_from_edges,
-    shd,
-    topological_order,
-)
-from .tree import (
-    Leaf,
-    Metrics,
-    PermutationResult,
-    Split,
-    evaluate,
-    fit_tree,
-    kfold_cv,
-    permutation_baseline,
-    predict,
-    tree_depth,
-    tree_features,
-    tree_to_dot,
-)
+from .data import Dataset, DatasetView, StandardizedMatrix, complete_cases, load_csv, standardize
+from .discovery import FciResult, LearnConfig, run_fci
+from .effects import EffectEstimate, estimate_effect
+from .graph import PriorKnowledge
+from .pipeline import PipelineConfig, PipelineReport, run_full, write_report
+from .tree import Metrics, PermutationResult, TreeNode, fit_tree, kfold_cv, permutation_baseline
 
 __version__ = "0.1.0"

@@ -5,12 +5,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .data import load_csv, summarize
 from .discovery import oracle_ci_test
-from .graph import MixedGraph, PriorKnowledge, to_dot
+from .graph import MixedGraph, PriorKnowledge
 from .pipeline import (
     PipelineConfig,
     run_full,
@@ -18,9 +18,14 @@ from .pipeline import (
     step2_integrated,
     step3_predictive,
     write_report,
+    write_step1,
+    write_step2,
+    write_step3,
 )
 from .synth import make_clinical_synth
-from .tree import tree_to_dot
+
+#: argparse types of the PipelineConfig field annotations (first union member)
+_FLAG_TYPES = {"str": str, "float": float, "int": int}
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -28,20 +33,33 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schema", required=True, help="sidecar schema JSON")
 
 
+def _flag_fields():
+    """PipelineConfig fields set by one flag each; ``prior`` is read from a file."""
+    return [f for f in fields(PipelineConfig) if f.name != "prior"]
+
+
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with PipelineConfig fields")
-    p.add_argument("--outcome", help="outcome column (default: the schema's outcome)")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--max-cond-size", type=int)
-    p.add_argument("--no-possible-dsep", action="store_true")
-    p.add_argument("--no-orientation", action="store_true")
-    p.add_argument("--tree-max-depth", type=int)
-    p.add_argument("--cv-folds", type=int)
-    p.add_argument("--permutation-trials", type=int)
-    p.add_argument("--permutation-features", type=int)
-    p.add_argument("--max-missing", type=int)
-    p.add_argument("--min-rows", type=int)
-    p.add_argument("--seed", type=int)
+    for f in _flag_fields():
+        kind = f.type.split(" | ")[0]
+        if kind == "bool":
+            # do_x defaulting to False is switched on by --x, one defaulting
+            # to True is switched off by --no-x
+            word = f.name.removeprefix("do_").replace("_", "-")
+            p.add_argument(
+                f"--no-{word}" if f.default else f"--{word}",
+                dest=f.name,
+                action="store_const",
+                const=not f.default,
+                help=f"set {f.name} to {not f.default}",
+            )
+        else:
+            p.add_argument(
+                "--" + f.name.replace("_", "-"),
+                dest=f.name,
+                type=_FLAG_TYPES[kind],
+                help=f"PipelineConfig.{f.name}",
+            )
     p.add_argument("--prior", help="prior-knowledge JSON (forbidden/required pairs)")
     p.add_argument(
         "--oracle-dag",
@@ -53,26 +71,14 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     payload: dict = {}
     if args.config:
         payload.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
-    flag_map = {
-        "outcome": args.outcome,
-        "alpha": args.alpha,
-        "max_cond_size": args.max_cond_size,
-        "tree_max_depth": args.tree_max_depth,
-        "cv_folds": args.cv_folds,
-        "permutation_trials": args.permutation_trials,
-        "permutation_features": args.permutation_features,
-        "max_missing": args.max_missing,
-        "min_rows": args.min_rows,
-        "seed": args.seed,
-    }
-    for key, value in flag_map.items():
+    for f in _flag_fields():
+        value = getattr(args, f.name)
         if value is not None:
-            payload[key] = value
-    if args.no_possible_dsep:
-        payload["do_possible_dsep"] = False
-    if args.no_orientation:
-        payload["do_orientation"] = False
-    config = PipelineConfig.from_json_dict(payload)
+            payload[f.name] = value
+    try:
+        config = PipelineConfig.from_json_dict(payload)
+    except ValueError as exc:
+        raise SystemExit(f"causaltab: {exc}") from None
     if args.prior:
         config = replace(config, prior=PriorKnowledge.load(args.prior))
     return config
@@ -149,36 +155,25 @@ def main(argv: list[str] | None = None) -> int:
 
     config = _build_config(args)
     factory = _ci_factory(args)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = args.out
 
     if args.command == "step1":
         result = step1_per_category(dataset, config, factory)
-        (outdir / "step1.json").write_text(
-            json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        for cat in result.per_category:
-            (outdir / f"category_{cat.category}.dot").write_text(to_dot(cat.graph))
+        write_step1(result, outdir)
         print(f"selected features: {', '.join(result.selected_features)}")
         return 0
 
     if args.command == "step2":
         selected = _features_arg(args, "from_step1", "selected_features")
         result = step2_integrated(dataset, selected, config, factory)
-        (outdir / "step2.json").write_text(
-            json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        (outdir / "integrated.dot").write_text(to_dot(result.graph))
-        (outdir / "tree.dot").write_text(tree_to_dot(result.tree, dataset.schema_for))
+        write_step2(result, outdir, dataset)
         print(f"tree features: {', '.join(result.tree_features)}")
         return 0
 
     if args.command == "step3":
         feats = _features_arg(args, "from_step2", "tree_features")
         result = step3_predictive(dataset, feats, config)
-        (outdir / "step3.json").write_text(
-            json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_step3(result, outdir)
         acc = result.cv_metrics.accuracy
         print(f"causal-feature CV accuracy: {acc:.3f} over {result.n_rows} rows")
         return 0

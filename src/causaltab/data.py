@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -287,12 +287,6 @@ class DatasetView:
         cols = tuple(columns) if columns is not None else self.columns
         return all(not np.isnan(self.coded(c)).any() for c in cols)
 
-    def records(self, columns: Sequence[str] | None = None) -> Iterator[dict[str, float]]:
-        cols = tuple(columns) if columns is not None else self.columns
-        mat = self.matrix(cols)
-        for i in range(self.n_rows):
-            yield {c: float(mat[i, j]) for j, c in enumerate(cols)}
-
 
 def complete_cases(source: Dataset | DatasetView, columns: Sequence[str]) -> DatasetView:
     """View of the rows with no missing cell among ``columns``, order preserved."""
@@ -313,12 +307,10 @@ def complete_cases(source: Dataset | DatasetView, columns: Sequence[str]) -> Dat
 
 @dataclass(frozen=True)
 class StandardizedMatrix:
-    """Column-standardized numeric matrix with the moments needed to invert it."""
+    """Column-standardized numeric matrix with its column names."""
 
     matrix: np.ndarray
     columns: tuple[str, ...]
-    means: np.ndarray
-    sds: np.ndarray
 
     @property
     def n_rows(self) -> int:
@@ -332,10 +324,6 @@ class StandardizedMatrix:
 
     def column(self, name: str) -> np.ndarray:
         return self.matrix[:, self.index(name)]
-
-    def inverse(self) -> np.ndarray:
-        """Undo the affine transform, reproducing the coded input columns."""
-        return self.matrix * self.sds + self.means
 
 
 def standardize(view: DatasetView, columns: Sequence[str] | None = None) -> StandardizedMatrix:
@@ -352,7 +340,7 @@ def standardize(view: DatasetView, columns: Sequence[str] | None = None) -> Stan
     for j, c in enumerate(cols):
         if sds[j] == 0.0:
             raise ZeroVarianceError(f"column {c!r} is constant in this view")
-    return StandardizedMatrix((mat - means) / sds, cols, means, sds)
+    return StandardizedMatrix((mat - means) / sds, cols)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,16 @@ import numpy as np
 
 from .data import DatasetView, standardize
 from .errors import IncompleteViewError, UnknownNodeError
-from .graph import ARROW, CIRCLE, TAIL, MixedGraph, PriorKnowledge, SepSetStore
+from .graph import (
+    ARROW,
+    CIRCLE,
+    TAIL,
+    MixedGraph,
+    PriorKnowledge,
+    SepSetStore,
+    d_separation_tester,
+)
 from .stats import fisher_z_from_correlation, g_squared_test
-from .synth import d_separation_tester
 
 __all__ = [
     "LearnConfig",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 import numpy as np
 
@@ -141,26 +142,15 @@ def _edge_direction(
     return fwd, rev
 
 
-def annotate_strengths(
-    view: DatasetView, g: MixedGraph, outcome: str | None = None
-) -> MixedGraph:
-    """Copy of g with every edge's strength set to its mean adjusted effect.
-
-    For outcome-adjacent edges the direction is feature-on-outcome; other
-    edges display whichever direction has the larger absolute mean effect.
-    """
-    out = g.copy()
-    std = standardize(view, [c for c in view.columns if c in set(g.nodes)])
-    for e in g.edges():
-        shown, _ = _edge_direction(view, g, e.u, e.v, outcome, std)
-        out.set_strength(e.u, e.v, shown.mean_effect)
-    return out
-
-
 def effect_table(
     view: DatasetView, g: MixedGraph, outcome: str | None = None
 ) -> list[dict]:
-    """Per-edge machine records: displayed direction plus the reverse estimate."""
+    """Per-edge machine records: displayed direction plus the reverse estimate.
+
+    For outcome-adjacent edges the displayed direction is
+    feature-on-outcome; other edges display whichever direction has the
+    larger absolute mean effect.
+    """
     std = standardize(view, [c for c in view.columns if c in set(g.nodes)])
     rows = []
     for e in g.edges():
@@ -174,3 +164,12 @@ def effect_table(
             record["reverse"] = other.to_json_dict()
         rows.append(record)
     return rows
+
+
+def annotate_strengths(g: MixedGraph, table: Iterable[dict]) -> MixedGraph:
+    """Copy of g with every edge's strength set to its displayed mean effect."""
+    out = g.copy()
+    for record in table:
+        u, v = record["edge"]
+        out.set_strength(u, v, record["displayed"]["mean_effect"])
+    return out

@@ -94,10 +94,6 @@ class EmptyDataError(CausalTabError):
     """Tree fitting received zero rows."""
 
 
-class MissingFeatureError(CausalTabError):
-    """A prediction row lacks a feature the tree queries."""
-
-
 class TooFewRowsError(CausalTabError):
     """Not enough rows to form the requested folds."""
 

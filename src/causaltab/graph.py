@@ -1,4 +1,5 @@
-"""Mixed graphs over named variables: endpoint marks, strengths, hops, DOT.
+"""Mixed graphs over named variables: endpoint marks, strengths, hops,
+d-separation on fully directed graphs, DOT.
 
 Edges carry one mark per endpoint (circle / arrow / tail) so that both
 partially oriented output and fully directed ground-truth graphs share one
@@ -8,13 +9,12 @@ representation. A directed edge u -> v is tail at u, arrow at v.
 from __future__ import annotations
 
 import json
-import re
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import UnknownNodeError
+from .errors import CyclicGraphError, UnknownNodeError
 
 CIRCLE = "circle"
 ARROW = "arrow"
@@ -88,10 +88,6 @@ class MixedGraph:
         if name not in self._index:
             raise UnknownNodeError(f"unknown node {name!r}")
 
-    def node_index(self, name: str) -> int:
-        self._require(name)
-        return self._index[name]
-
     def _key(self, u: str, v: str) -> tuple[str, str]:
         return (u, v) if self._index[u] <= self._index[v] else (v, u)
 
@@ -153,10 +149,6 @@ class MixedGraph:
     def neighbors(self, v: str) -> tuple[str, ...]:
         self._require(v)
         return tuple(sorted(self._adj[v], key=self._index.__getitem__))
-
-    def degree(self, v: str) -> int:
-        self._require(v)
-        return len(self._adj[v])
 
     def mark_at(self, u: str, v: str, at: str) -> str:
         e = self.edge(u, v)
@@ -335,12 +327,21 @@ class PriorKnowledge:
         )
 
     @classmethod
-    def load(cls, path: str | Path) -> "PriorKnowledge":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    def from_json_dict(cls, payload: dict) -> "PriorKnowledge":
         return cls.from_pairs(
             forbidden=[tuple(p) for p in payload.get("forbidden", [])],
             required=[tuple(p) for p in payload.get("required", [])],
         )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "forbidden": sorted(sorted(p) for p in self.forbidden),
+            "required": sorted(sorted(p) for p in self.required),
+        }
+
+    @classmethod
+    def load(cls, path: str | Path) -> "PriorKnowledge":
+        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def validate_names(self, known: Sequence[str]) -> None:
         known_set = set(known)
@@ -356,83 +357,146 @@ class PriorKnowledge:
         return frozenset((u, v)) in self.required
 
 
+# -- d-separation ------------------------------------------------------------
+
+def _directed_maps(dag: MixedGraph) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+    """Parent and child maps of a fully directed graph; rejects partial marks."""
+    parents: dict[str, list[str]] = {n: [] for n in dag.nodes}
+    children: dict[str, list[str]] = {n: [] for n in dag.nodes}
+    for e in dag.edges():
+        if e.mark_u == TAIL and e.mark_v == ARROW:
+            src, dst = e.u, e.v
+        elif e.mark_v == TAIL and e.mark_u == ARROW:
+            src, dst = e.v, e.u
+        else:
+            raise CyclicGraphError(
+                f"edge {e.u!r}-{e.v!r} is not fully directed (marks {e.mark_u}/{e.mark_v})"
+            )
+        parents[dst].append(src)
+        children[src].append(dst)
+    return (
+        {n: tuple(v) for n, v in parents.items()},
+        {n: tuple(v) for n, v in children.items()},
+    )
+
+
+def topological_order(dag: MixedGraph) -> list[str]:
+    """Topological order of a fully directed acyclic graph."""
+    parents, children = _directed_maps(dag)
+    indeg = {n: len(parents[n]) for n in dag.nodes}
+    queue = deque(n for n in dag.nodes if indeg[n] == 0)
+    order = []
+    while queue:
+        n = queue.popleft()
+        order.append(n)
+        for c in children[n]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                queue.append(c)
+    if len(order) != len(dag.nodes):
+        raise CyclicGraphError("directed graph contains a cycle")
+    return order
+
+
+def _reachable(
+    x: str,
+    s: frozenset[str],
+    parents: Mapping[str, tuple[str, ...]],
+    children: Mapping[str, tuple[str, ...]],
+) -> set[str]:
+    """Nodes d-connected to x given s (reachability over active paths)."""
+    # ancestors of s, including s
+    anc = set(s)
+    stack = list(s)
+    while stack:
+        for p in parents[stack.pop()]:
+            if p not in anc:
+                anc.add(p)
+                stack.append(p)
+
+    UP, DOWN = 0, 1
+    visited = {(x, UP)}
+    queue = deque([(x, UP)])
+    reach: set[str] = set()
+    while queue:
+        node, direction = queue.popleft()
+        if node not in s:
+            reach.add(node)
+        if direction == UP and node not in s:
+            for p in parents[node]:
+                if (p, UP) not in visited:
+                    visited.add((p, UP))
+                    queue.append((p, UP))
+            for c in children[node]:
+                if (c, DOWN) not in visited:
+                    visited.add((c, DOWN))
+                    queue.append((c, DOWN))
+        elif direction == DOWN:
+            if node not in s:
+                for c in children[node]:
+                    if (c, DOWN) not in visited:
+                        visited.add((c, DOWN))
+                        queue.append((c, DOWN))
+            if node in anc:
+                for p in parents[node]:
+                    if (p, UP) not in visited:
+                        visited.add((p, UP))
+                        queue.append((p, UP))
+    reach.discard(x)
+    return reach
+
+
+def d_separated(dag: MixedGraph, x: str, y: str, s: Iterable[str] = ()) -> bool:
+    """Exact d-separation of x and y given s in a fully directed acyclic graph."""
+    parents, children = _directed_maps(dag)
+    topological_order(dag)
+    for name in (x, y, *s):
+        if not dag.has_node(name):
+            raise UnknownNodeError(f"unknown node {name!r}")
+    return y not in _reachable(x, frozenset(s), parents, children)
+
+
+def d_separation_tester(dag: MixedGraph) -> Callable[[str, str, Iterable[str]], bool]:
+    """Closure answering d-separation queries with the DAG maps precomputed."""
+    parents, children = _directed_maps(dag)
+    topological_order(dag)
+
+    def tester(x: str, y: str, s: Iterable[str] = ()) -> bool:
+        return y not in _reachable(x, frozenset(s), parents, children)
+
+    return tester
+
+
 # -- DOT rendering -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class StyleConfig:
-    base_penwidth: float = 1.0
-    max_penwidth: float = 4.5
-    positive_color: str = "red"
-    negative_color: str = "blue"
-    neutral_color: str = "gray40"
-    #: draw endpoint marks; reports set this False since learned
-    #: orientations are not treated as reliable information
-    show_marks: bool = True
-
-_ARROW_OF_MARK = {CIRCLE: "odot", ARROW: "normal", TAIL: "none"}
-_MARK_OF_ARROW = {v: k for k, v in _ARROW_OF_MARK.items()}
+_BASE_PENWIDTH = 1.0
+_MAX_PENWIDTH = 4.5
+_NEUTRAL_COLOR = "gray40"
 
 
-def to_dot(g: MixedGraph, style: StyleConfig | None = None) -> str:
-    """GraphViz text: pen width scales with |strength| within the graph, sign sets color."""
-    style = style or StyleConfig()
+def to_dot(g: MixedGraph) -> str:
+    """GraphViz text: pen width scales with |strength| within the graph, sign sets color.
+
+    Edges are drawn undirected: learned orientations are not reliable
+    enough to publish, so only sign and strength are shown.
+    """
     strengths = [abs(e.strength) for e in g.edges() if e.strength is not None]
     max_abs = max(strengths) if strengths else 0.0
     lines = ["graph causal {", "  node [shape=ellipse];"]
     for n in g.nodes:
         lines.append(f'  "{n}";')
     for e in g.edges():
-        if style.show_marks:
-            attrs = [
-                "dir=both",
-                f"arrowtail={_ARROW_OF_MARK[e.mark_u]}",
-                f"arrowhead={_ARROW_OF_MARK[e.mark_v]}",
-            ]
-        else:
-            attrs = ["dir=none"]
+        attrs = ["dir=none"]
         if e.strength is None:
-            attrs.append(f"color={style.neutral_color}")
-            attrs.append(f"penwidth={style.base_penwidth:.3f}")
+            attrs.append(f"color={_NEUTRAL_COLOR}")
+            attrs.append(f"penwidth={_BASE_PENWIDTH:.3f}")
         else:
-            color = style.positive_color if e.strength > 0 else (
-                style.negative_color if e.strength < 0 else style.neutral_color
-            )
+            color = "red" if e.strength > 0 else ("blue" if e.strength < 0 else _NEUTRAL_COLOR)
             frac = abs(e.strength) / max_abs if max_abs > 0 else 0.0
-            width = style.base_penwidth + frac * (style.max_penwidth - style.base_penwidth)
+            width = _BASE_PENWIDTH + frac * (_MAX_PENWIDTH - _BASE_PENWIDTH)
             attrs.append(f"color={color}")
             attrs.append(f"penwidth={width:.3f}")
             attrs.append(f'label="{e.strength:+.3f}"')
         lines.append(f'  "{e.u}" -- "{e.v}" [{", ".join(attrs)}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-_NODE_RE = re.compile(r'^\s*"([^"]+)";\s*$')
-_EDGE_RE = re.compile(
-    r'^\s*"([^"]+)"\s*--\s*"([^"]+)"\s*\[(.*)\];\s*$'
-)
-
-
-def parse_dot(text: str) -> MixedGraph:
-    """Re-parse DOT emitted by :func:`to_dot` (structure and marks only)."""
-    g = MixedGraph()
-    for line in text.splitlines():
-        m = _NODE_RE.match(line)
-        if m:
-            g.add_node(m.group(1))
-            continue
-        m = _EDGE_RE.match(line)
-        if m:
-            u, v, attr_text = m.groups()
-            attrs = {}
-            for chunk in attr_text.split(","):
-                if "=" in chunk:
-                    k, val = chunk.split("=", 1)
-                    attrs[k.strip()] = val.strip().strip('"')
-            g.add_edge(
-                u,
-                v,
-                mark_u=_MARK_OF_ARROW.get(attrs.get("arrowtail", "odot"), CIRCLE),
-                mark_v=_MARK_OF_ARROW.get(attrs.get("arrowhead", "odot"), CIRCLE),
-            )
-    return g

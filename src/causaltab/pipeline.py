@@ -11,17 +11,17 @@ sets with matched subject counts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, DatasetView, complete_cases, summarize
+from .data import OUTCOME_CATEGORY, Dataset, DatasetView, complete_cases, summarize
 from .discovery import CITest, LearnConfig, run_fci
 from .effects import annotate_strengths, effect_table
 from .errors import CausalTabError
-from .graph import MixedGraph, PriorKnowledge, StyleConfig, neighbors_within, to_dot
+from .graph import MixedGraph, PriorKnowledge, neighbors_within, to_dot
 from .stats import (
     ContingencyTable2x2,
     FoldIncrease,
@@ -54,6 +54,9 @@ __all__ = [
     "step2_integrated",
     "step3_predictive",
     "run_full",
+    "write_step1",
+    "write_step2",
+    "write_step3",
     "write_report",
 ]
 
@@ -88,38 +91,20 @@ class PipelineConfig:
         )
 
     def to_json_dict(self) -> dict:
-        out = {
-            "outcome": self.outcome,
-            "alpha": self.alpha,
-            "max_cond_size": self.max_cond_size,
-            "do_possible_dsep": self.do_possible_dsep,
-            "do_orientation": self.do_orientation,
-            "tree_max_depth": self.tree_max_depth,
-            "cv_folds": self.cv_folds,
-            "permutation_trials": self.permutation_trials,
-            "permutation_features": self.permutation_features,
-            "max_missing": self.max_missing,
-            "min_rows": self.min_rows,
-            "seed": self.seed,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "prior"}
         if self.prior is not None:
-            out["prior"] = {
-                "forbidden": sorted(sorted(p) for p in self.prior.forbidden),
-                "required": sorted(sorted(p) for p in self.prior.required),
-            }
+            out["prior"] = self.prior.to_json_dict()
         return out
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "PipelineConfig":
-        prior = None
-        if payload.get("prior"):
-            prior = PriorKnowledge.from_pairs(
-                forbidden=[tuple(p) for p in payload["prior"].get("forbidden", [])],
-                required=[tuple(p) for p in payload["prior"].get("required", [])],
-            )
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        kwargs = {k: v for k, v in payload.items() if k in known and k != "prior"}
-        return cls(prior=prior, **kwargs)
+        """Inverse of :meth:`to_json_dict`; a key that names no field is an error."""
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        kwargs = dict(payload)
+        prior = kwargs.pop("prior", None)
+        return cls(prior=PriorKnowledge.from_json_dict(prior) if prior else None, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -262,7 +247,12 @@ class PipelineReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(_plain(self.to_json_dict()), indent=2, sort_keys=True)
+        return _dumps(self.to_json_dict())
+
+
+def _dumps(payload: dict) -> str:
+    """The JSON text of every output file: plain types, indent 2, sorted keys."""
+    return json.dumps(_plain(payload), indent=2, sort_keys=True)
 
 
 def _plain(obj):
@@ -281,10 +271,13 @@ def _resolve_outcome(dataset: Dataset, config: PipelineConfig) -> str:
 
 
 def _eligible_features(dataset: Dataset, config: PipelineConfig, outcome: str) -> list[str]:
-    """Feature pool after the optional missing-count cutoff."""
+    """Feature pool after the optional missing-count cutoff.
+
+    The analysed outcome and every column of the outcome category stay out.
+    """
     out = []
     for col in dataset.schema:
-        if col.name == outcome:
+        if col.name == outcome or col.category == OUTCOME_CATEGORY:
             continue
         if config.max_missing is not None and dataset.missing_count(col.name) >= config.max_missing:
             continue
@@ -347,7 +340,7 @@ def step1_per_category(
             continue
         ci = ci_test_factory(view) if ci_test_factory else None
         fci = run_fci(view, config.learn_config(), _prior_for(config.prior, view.columns), ci)
-        graph = annotate_strengths(view, fci.graph, outcome)
+        graph = annotate_strengths(fci.graph, effect_table(view, fci.graph, outcome))
         near = sorted(
             neighbors_within(graph, outcome, 2),
             key=dataset.column_index,
@@ -438,8 +431,8 @@ def step2_integrated(
         raise CausalTabError("outcome is constant on the joint complete cases")
     ci = ci_test_factory(view) if ci_test_factory else None
     fci = run_fci(view, config.learn_config(), _prior_for(config.prior, view.columns), ci)
-    graph = annotate_strengths(view, fci.graph, outcome)
     effects = tuple(effect_table(view, fci.graph, outcome))
+    graph = annotate_strengths(fci.graph, effects)
     features = [c for c in view.columns if c != outcome]
     bivariate = tuple(_bivariate_rows(dataset, features, outcome))
     tree = fit_tree(view, features, outcome, config.tree_max_depth)
@@ -477,6 +470,7 @@ def step3_predictive(
     perm = permutation_baseline(
         dataset,
         pool,
+        outcome,
         n_features=n_features,
         n_trials=config.permutation_trials,
         k=config.cv_folds,
@@ -515,38 +509,70 @@ def run_full(
     return PipelineReport(
         config=config,
         outcome=outcome,
-        summary=_plain(summarize(dataset).to_json_dict()),
+        summary=summarize(dataset).to_json_dict(),
         step1=step1,
         step2=step2,
         step3=step3,
     )
 
 
+def _output_dir(outdir: str | Path) -> Path:
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(_dumps(payload) + "\n", encoding="utf-8")
+
+
+def _write_category_dots(step1: Step1Result, outdir: Path) -> None:
+    for cat in step1.per_category:
+        (outdir / f"category_{cat.category}.dot").write_text(to_dot(cat.graph), encoding="utf-8")
+
+
+def _write_step2_dots(step2: Step2Result, outdir: Path, dataset: Dataset | None) -> None:
+    (outdir / "integrated.dot").write_text(to_dot(step2.graph), encoding="utf-8")
+    schema_lookup = dataset.schema_for if dataset is not None else None
+    (outdir / "tree.dot").write_text(tree_to_dot(step2.tree, schema_lookup), encoding="utf-8")
+
+
+def _write_histogram(step3: Step3Result, outdir: Path) -> None:
+    if step3.permutation is None:
+        return
+    lines = ["bin_lo,bin_hi,count"]
+    for lo, hi, count in step3.permutation.histogram():
+        lines.append(f"{lo:.6f},{hi:.6f},{count}")
+    (outdir / "permutation_histogram.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_step1(result: Step1Result, outdir: str | Path) -> None:
+    """``step1.json`` plus one DOT graph per category."""
+    outdir = _output_dir(outdir)
+    _write_json(outdir / "step1.json", result.to_json_dict())
+    _write_category_dots(result, outdir)
+
+
+def write_step2(result: Step2Result, outdir: str | Path, dataset: Dataset | None = None) -> None:
+    """``step2.json`` plus the integrated graph and the tree."""
+    outdir = _output_dir(outdir)
+    _write_json(outdir / "step2.json", result.to_json_dict())
+    _write_step2_dots(result, outdir, dataset)
+
+
+def write_step3(result: Step3Result, outdir: str | Path) -> None:
+    """``step3.json`` plus the permutation histogram when there is a baseline."""
+    outdir = _output_dir(outdir)
+    _write_json(outdir / "step3.json", result.to_json_dict())
+    _write_histogram(result, outdir)
+
+
 def write_report(
     report: PipelineReport, outdir: str | Path, dataset: Dataset | None = None
 ) -> None:
     """One output directory: machine report, DOT graphs, tree, histogram."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    # learned orientations are not reliable enough to publish: report
-    # graphs are drawn undirected, keeping only sign and strength
-    style = StyleConfig(show_marks=False)
-    for cat in report.step1.per_category:
-        (outdir / f"category_{cat.category}.dot").write_text(
-            to_dot(cat.graph, style), encoding="utf-8"
-        )
-    (outdir / "integrated.dot").write_text(
-        to_dot(report.step2.graph, style), encoding="utf-8"
-    )
-    schema_lookup = dataset.schema_for if dataset is not None else None
-    (outdir / "tree.dot").write_text(
-        tree_to_dot(report.step2.tree, schema_lookup), encoding="utf-8"
-    )
-    if report.step3.permutation is not None:
-        lines = ["bin_lo,bin_hi,count"]
-        for lo, hi, count in report.step3.permutation.histogram():
-            lines.append(f"{lo:.6f},{hi:.6f},{count}")
-        (outdir / "permutation_histogram.csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
+    outdir = _output_dir(outdir)
+    _write_json(outdir / "report.json", report.to_json_dict())
+    _write_category_dots(report.step1, outdir)
+    _write_step2_dots(report.step2, outdir, dataset)
+    _write_histogram(report.step3, outdir)

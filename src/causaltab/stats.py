@@ -30,7 +30,6 @@ __all__ = [
     "TestResult",
     "ContingencyTable2x2",
     "FoldIncrease",
-    "normal_cdf",
     "chisq_sf",
     "fisher_z_ci_test",
     "fisher_z_from_correlation",
@@ -78,11 +77,6 @@ class ContingencyTable2x2:
     @property
     def total(self) -> int:
         return self.a + self.b + self.c + self.d
-
-
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def chisq_sf(x: float, dof: float) -> float:
@@ -205,15 +199,16 @@ def fisher_exact(t: ContingencyTable2x2) -> TestResult:
 
     Sums hypergeometric probabilities of all tables with the observed
     margins whose point probability does not exceed the observed one
-    (within 1e-7 relative tolerance). Weights are exact integers, so ties
-    are decided without floating-point noise.
+    (within 1e-7 relative tolerance). Weights are exact integers and the
+    comparison stays in integers, so ties are decided without
+    floating-point noise and no weight is converted to a float.
     """
     r1, r2, c1 = t.a + t.b, t.c + t.d, t.a + t.c
     support, weights = _hypergeom_weights(r1, r2, c1)
     w_obs = weights[t.a - support.start]
     included = 0
     for w in weights:
-        if w <= w_obs or w <= w_obs * (1.0 + 1e-7):
+        if w * 10_000_000 <= w_obs * 10_000_001:
             included += w
     total = math.comb(t.total, c1)
     p = included / total

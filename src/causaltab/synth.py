@@ -1,77 +1,30 @@
-"""Ground-truth generators and graph oracles backing the test harness.
+"""Ground-truth generators backing the test harness.
 
-Provides a linear Gaussian SEM sampler, a discrete Bayesian-network
-sampler, an exact d-separation oracle, structural Hamming distance, and a
+Provides a linear Gaussian SEM sampler, structural Hamming distance, and a
 seeded synthetic clinical cohort whose outcome dependence runs through a
-declared ground-truth graph.
+declared ground-truth graph. The exact d-separation oracle lives in
+:mod:`causaltab.graph`.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .data import ColumnSchema, Dataset, KIND_BINARY, KIND_CONTINUOUS, KIND_ORDINAL
-from .errors import CyclicGraphError, NodeMismatchError, UnknownNodeError
-from .graph import ARROW, TAIL, MixedGraph
+from .errors import NodeMismatchError
+from .graph import MixedGraph, _directed_maps, topological_order
 
 __all__ = [
     "LinearSEM",
-    "DiscreteBN",
     "sample_sem",
-    "sample_bn",
-    "topological_order",
-    "d_separated",
-    "d_separation_tester",
+    "sem_from_edges",
     "shd",
     "make_clinical_synth",
 ]
-
-
-def _directed_maps(dag: MixedGraph) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
-    """Parent and child maps of a fully directed graph; rejects partial marks."""
-    parents: dict[str, list[str]] = {n: [] for n in dag.nodes}
-    children: dict[str, list[str]] = {n: [] for n in dag.nodes}
-    for e in dag.edges():
-        if e.mark_u == TAIL and e.mark_v == ARROW:
-            src, dst = e.u, e.v
-        elif e.mark_v == TAIL and e.mark_u == ARROW:
-            src, dst = e.v, e.u
-        else:
-            raise CyclicGraphError(
-                f"edge {e.u!r}-{e.v!r} is not fully directed (marks {e.mark_u}/{e.mark_v})"
-            )
-        parents[dst].append(src)
-        children[src].append(dst)
-    return (
-        {n: tuple(v) for n, v in parents.items()},
-        {n: tuple(v) for n, v in children.items()},
-    )
-
-
-def topological_order(dag: MixedGraph) -> list[str]:
-    """Topological order of a fully directed acyclic graph."""
-    parents, children = _directed_maps(dag)
-    indeg = {n: len(parents[n]) for n in dag.nodes}
-    queue = deque(n for n in dag.nodes if indeg[n] == 0)
-    order = []
-    while queue:
-        n = queue.popleft()
-        order.append(n)
-        for c in children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    if len(order) != len(dag.nodes):
-        raise CyclicGraphError("directed graph contains a cycle")
-    return order
 
 
 # -- linear Gaussian SEM ------------------------------------------------------
@@ -93,32 +46,6 @@ class LinearSEM:
             sd = self.noise_sd.get(n)
             if sd is None or sd <= 0:
                 raise ValueError(f"node {n!r} needs a positive noise sd")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nodes": list(self.dag.nodes),
-            "edges": [
-                {"from": s, "to": t, "coefficient": self.coefficients[(s, t)]}
-                for s, t in self.dag.directed_edges()
-            ],
-            "noise_sd": dict(self.noise_sd),
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "LinearSEM":
-        dag = MixedGraph(payload["nodes"])
-        coeffs = {}
-        for e in payload["edges"]:
-            dag.add_directed_edge(e["from"], e["to"])
-            coeffs[(e["from"], e["to"])] = float(e["coefficient"])
-        return cls(dag=dag, coefficients=coeffs, noise_sd={k: float(v) for k, v in payload["noise_sd"].items()})
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "LinearSEM":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
 def sem_from_edges(
@@ -148,12 +75,7 @@ def sem_from_edges(
     return LinearSEM(dag=dag, coefficients=coeffs, noise_sd=sds)
 
 
-def sample_sem(
-    sem: LinearSEM,
-    n: int,
-    seed: int,
-    categories: Mapping[str, str] | None = None,
-) -> Dataset:
+def sample_sem(sem: LinearSEM, n: int, seed: int) -> Dataset:
     """Ancestral sampling of a linear Gaussian SEM into a continuous Dataset."""
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
@@ -165,212 +87,11 @@ def sample_sem(
         for p in parents[node]:
             col = col + sem.coefficients[(p, node)] * values[p]
         values[node] = col
-    categories = categories or {}
     schema = [
-        ColumnSchema(name=node, kind=KIND_CONTINUOUS, category=categories.get(node, "synthetic"))
+        ColumnSchema(name=node, kind=KIND_CONTINUOUS, category="synthetic")
         for node in sem.dag.nodes
     ]
     return Dataset(schema, values)
-
-
-# -- discrete Bayesian network -------------------------------------------------
-
-@dataclass(frozen=True)
-class DiscreteBN:
-    """Directed acyclic graph with per-node CPTs over parent configurations.
-
-    ``cpts[node]`` maps a tuple of parent level-indices (ordered by
-    ``parents[node]``) to a probability vector over the node's levels.
-    """
-
-    dag: MixedGraph
-    levels: dict[str, tuple[str, ...]]
-    parents: dict[str, tuple[str, ...]]
-    cpts: dict[str, dict[tuple[int, ...], tuple[float, ...]]]
-
-    def __post_init__(self):
-        topological_order(self.dag)
-        derived, _ = _directed_maps(self.dag)
-        for node in self.dag.nodes:
-            if set(self.parents.get(node, ())) != set(derived[node]):
-                raise ValueError(f"parents of {node!r} disagree with the graph")
-            levels = self.levels.get(node)
-            if not levels or len(levels) < 2:
-                raise ValueError(f"node {node!r} needs at least 2 levels")
-            table = self.cpts.get(node)
-            if table is None:
-                raise ValueError(f"node {node!r} has no CPT")
-            expected_rows = 1
-            for p in self.parents[node]:
-                expected_rows *= len(self.levels[p])
-            if len(table) != expected_rows:
-                raise ValueError(
-                    f"node {node!r}: {len(table)} CPT rows, expected {expected_rows}"
-                )
-            for config, probs in table.items():
-                if len(probs) != len(levels):
-                    raise ValueError(f"node {node!r}: CPT row {config} has wrong arity")
-                if abs(sum(probs) - 1.0) > 1e-12:
-                    raise ValueError(f"node {node!r}: CPT row {config} sums to {sum(probs)}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nodes": [
-                {
-                    "name": n,
-                    "levels": list(self.levels[n]),
-                    "parents": list(self.parents[n]),
-                    "cpt": {
-                        ",".join(map(str, cfg)): list(probs)
-                        for cfg, probs in sorted(self.cpts[n].items())
-                    },
-                }
-                for n in self.dag.nodes
-            ]
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "DiscreteBN":
-        dag = MixedGraph([e["name"] for e in payload["nodes"]])
-        levels = {}
-        parents = {}
-        cpts = {}
-        for entry in payload["nodes"]:
-            name = entry["name"]
-            levels[name] = tuple(entry["levels"])
-            parents[name] = tuple(entry["parents"])
-            for p in parents[name]:
-                dag.add_directed_edge(p, name)
-            cpts[name] = {
-                tuple(int(t) for t in key.split(",")) if key else (): tuple(probs)
-                for key, probs in entry["cpt"].items()
-            }
-        return cls(dag=dag, levels=levels, parents=parents, cpts=cpts)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "DiscreteBN":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
-
-
-def sample_bn(
-    bn: DiscreteBN,
-    n: int,
-    seed: int,
-    categories: Mapping[str, str] | None = None,
-) -> Dataset:
-    """Ancestral sampling of a discrete Bayesian network."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    rng = np.random.default_rng(seed)
-    codes: dict[str, np.ndarray] = {}
-    for node in topological_order(bn.dag):
-        pars = bn.parents[node]
-        draws = rng.random(n)
-        out = np.zeros(n, dtype=np.int64)
-        if not pars:
-            cum = np.cumsum(bn.cpts[node][()])
-            out = np.searchsorted(cum, draws, side="right")
-        else:
-            radix = np.zeros(n, dtype=np.int64)
-            for p in pars:
-                radix = radix * len(bn.levels[p]) + codes[p]
-            for cfg, probs in sorted(bn.cpts[node].items()):
-                code = 0
-                for p, c in zip(pars, cfg):
-                    code = code * len(bn.levels[p]) + c
-                mask = radix == code
-                if mask.any():
-                    cum = np.cumsum(probs)
-                    out[mask] = np.searchsorted(cum, draws[mask], side="right")
-        codes[node] = np.minimum(out, len(bn.levels[node]) - 1)
-    categories = categories or {}
-    schema = []
-    for node in bn.dag.nodes:
-        levels = bn.levels[node]
-        kind = KIND_BINARY if len(levels) == 2 else KIND_ORDINAL
-        schema.append(
-            ColumnSchema(
-                name=node,
-                kind=kind,
-                category=categories.get(node, "synthetic"),
-                levels=levels,
-            )
-        )
-    return Dataset(schema, {k: v.astype(float) for k, v in codes.items()})
-
-
-# -- d-separation ---------------------------------------------------------------
-
-def _reachable(
-    x: str,
-    s: frozenset[str],
-    parents: Mapping[str, tuple[str, ...]],
-    children: Mapping[str, tuple[str, ...]],
-) -> set[str]:
-    """Nodes d-connected to x given s (reachability over active paths)."""
-    # ancestors of s, including s
-    anc = set(s)
-    stack = list(s)
-    while stack:
-        for p in parents[stack.pop()]:
-            if p not in anc:
-                anc.add(p)
-                stack.append(p)
-
-    UP, DOWN = 0, 1
-    visited = {(x, UP)}
-    queue = deque([(x, UP)])
-    reach: set[str] = set()
-    while queue:
-        node, direction = queue.popleft()
-        if node not in s:
-            reach.add(node)
-        if direction == UP and node not in s:
-            for p in parents[node]:
-                if (p, UP) not in visited:
-                    visited.add((p, UP))
-                    queue.append((p, UP))
-            for c in children[node]:
-                if (c, DOWN) not in visited:
-                    visited.add((c, DOWN))
-                    queue.append((c, DOWN))
-        elif direction == DOWN:
-            if node not in s:
-                for c in children[node]:
-                    if (c, DOWN) not in visited:
-                        visited.add((c, DOWN))
-                        queue.append((c, DOWN))
-            if node in anc:
-                for p in parents[node]:
-                    if (p, UP) not in visited:
-                        visited.add((p, UP))
-                        queue.append((p, UP))
-    reach.discard(x)
-    return reach
-
-
-def d_separated(dag: MixedGraph, x: str, y: str, s: Iterable[str] = ()) -> bool:
-    """Exact d-separation of x and y given s in a fully directed acyclic graph."""
-    parents, children = _directed_maps(dag)
-    topological_order(dag)
-    for name in (x, y, *s):
-        if not dag.has_node(name):
-            raise UnknownNodeError(f"unknown node {name!r}")
-    return y not in _reachable(x, frozenset(s), parents, children)
-
-
-def d_separation_tester(dag: MixedGraph) -> Callable[[str, str, Iterable[str]], bool]:
-    """Closure answering d-separation queries with the DAG maps precomputed."""
-    parents, children = _directed_maps(dag)
-    topological_order(dag)
-
-    def tester(x: str, y: str, s: Iterable[str] = ()) -> bool:
-        return y not in _reachable(x, frozenset(s), parents, children)
-
-    return tester
 
 
 # -- structural Hamming distance ---------------------------------------------------
@@ -429,8 +150,10 @@ _CORR_PF_MYALGIA = 0.3
 _CORR_CREAT_BUN = 0.55
 _OUTCOME_NOISE_SD = 0.30
 _PBC_TARGET = 0.46
-_PILOT_SEED = 202007
-_PILOT_ROWS = 100_000
+#: Shared AGE/PF loading at which a 100k-row pilot sample hits the AGE
+#: point-biserial target; it centers the per-sample search in
+#: ``_refine_loads``. tests/test_synth.py recomputes it by bisection.
+_AGE_PF_LOAD = 0.3419238310828194
 
 # Background columns: (name, category, kind, params, missing_rows). Binary
 # params are the prevalence, ordinal params are level probabilities,
@@ -585,28 +308,6 @@ def _point_biserial_r(g: np.ndarray, x: np.ndarray) -> float:
     return float(gc @ xc / math.sqrt((gc @ gc) * (xc @ xc)))
 
 
-@lru_cache(maxsize=1)
-def _tuned_age_pf_load() -> float:
-    """Bisection on the shared AGE/PF loading against a fixed pilot sample."""
-    lat = _backbone_latents(np.random.default_rng(_PILOT_SEED), _PILOT_ROWS)
-
-    def pbc_gap(load: float) -> float:
-        cols = _backbone_columns(lat, load)
-        r = _point_biserial_r(cols[_OUTCOME_NAME], cols["AGE"])
-        return -r - _PBC_TARGET  # r is negative; gap is increasing in load
-
-    lo, hi = 0.01, 1.60
-    if pbc_gap(lo) > 0 or pbc_gap(hi) < 0:
-        raise RuntimeError("pilot bisection bracket does not straddle the target")
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        if pbc_gap(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _refine_loads(lat: dict[str, np.ndarray], center: float) -> tuple[float, float]:
     """Per-sample coordinate bisection of the two outcome loads.
 
@@ -656,7 +357,7 @@ def make_clinical_synth(seed: int) -> tuple[Dataset, MixedGraph]:
     n = _COHORT_ROWS
     rng = np.random.default_rng(seed)
     lat = _backbone_latents(rng, n)
-    age_load, pf_load = _refine_loads(lat, _tuned_age_pf_load())
+    age_load, pf_load = _refine_loads(lat, _AGE_PF_LOAD)
     columns = _backbone_columns(lat, age_load, pf_load)
 
     for name, _category, kind, params, _miss in _NOISE_COLUMNS:

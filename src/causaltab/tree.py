@@ -2,13 +2,12 @@
 
 CART-style greedy partitioning on Gini impurity. Class 0 (the first
 declared outcome level, death in the clinical encoding) is the positive
-class throughout; leaf ties predict it by default since missing a death
+class throughout; leaf ties predict it since missing a death
 is the costlier triage error.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -16,13 +15,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .data import ColumnSchema, Dataset, DatasetView, complete_cases
-from .errors import (
-    EmptyDataError,
-    ExhaustedDrawsError,
-    IncompleteViewError,
-    MissingFeatureError,
-    TooFewRowsError,
-)
+from .errors import EmptyDataError, ExhaustedDrawsError, IncompleteViewError, TooFewRowsError
 
 __all__ = [
     "Leaf",
@@ -30,7 +23,6 @@ __all__ = [
     "TreeNode",
     "Metrics",
     "fit_tree",
-    "predict",
     "predict_matrix",
     "evaluate",
     "kfold_cv",
@@ -58,11 +50,6 @@ class Split:
     left: "TreeNode"
     right: "TreeNode"
     class_counts: tuple[int, int]
-
-    def goes_left(self, value: float) -> bool:
-        if self.levels is not None:
-            return int(value) in self.levels
-        return value <= self.threshold
 
 
 TreeNode = Union[Leaf, Split]
@@ -109,19 +96,12 @@ def _class_counts(y: np.ndarray) -> tuple[int, int]:
     return n0, int(y.shape[0] - n0)
 
 
-def _leaf(counts: tuple[int, int], tie_break: str) -> Leaf:
-    if counts[0] > counts[1]:
-        predicted = 0
-    elif counts[1] > counts[0]:
-        predicted = 1
-    else:
-        predicted = 0 if tie_break == "death" else 1
-    return Leaf(class_counts=counts, predicted=predicted)
+def _leaf(counts: tuple[int, int]) -> Leaf:
+    """Majority-class leaf; a tie predicts class 0 (death)."""
+    return Leaf(class_counts=counts, predicted=0 if counts[0] >= counts[1] else 1)
 
 
-def _best_split_for_column(
-    values: np.ndarray, y: np.ndarray, min_leaf: int
-) -> tuple[float, float] | None:
+def _best_split_for_column(values: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
     """(weighted Gini, threshold) of the best cut, or None when no cut exists."""
     order = np.argsort(values, kind="stable")
     sv = values[order]
@@ -133,9 +113,6 @@ def _best_split_for_column(
     ones = np.cumsum(sy == 0)
     n_left = cuts + 1
     n_right = n - n_left
-    valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-    if not valid.any():
-        return None
     c0_left = ones[cuts].astype(float)
     c0_right = ones[-1] - c0_left
     p0l = c0_left / n_left
@@ -143,7 +120,6 @@ def _best_split_for_column(
     gini_l = 1.0 - p0l**2 - (1.0 - p0l) ** 2
     gini_r = 1.0 - p0r**2 - (1.0 - p0r) ** 2
     weighted = (n_left * gini_l + n_right * gini_r) / n
-    weighted[~valid] = np.inf
     pos = int(np.argmin(weighted))  # first minimum: smallest threshold wins ties
     thr = 0.5 * (sv[pos] + sv[pos + 1])
     return float(weighted[pos]), float(thr)
@@ -154,8 +130,6 @@ def fit_tree(
     features: Sequence[str],
     outcome: str,
     max_depth: int,
-    min_leaf: int = 1,
-    tie_break: str = "death",
 ) -> TreeNode:
     """Greedy Gini partitioning, depth counted in splits along a path.
 
@@ -167,8 +141,6 @@ def fit_tree(
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    if tie_break not in ("death", "recovery"):
-        raise ValueError(f"tie_break must be 'death' or 'recovery', got {tie_break!r}")
     features = list(features)
     X = view.matrix(features)
     y_raw = view.coded(outcome)
@@ -181,23 +153,18 @@ def fit_tree(
 
     def grow(idx: np.ndarray, depth: int) -> TreeNode:
         counts = _class_counts(y[idx])
-        if (
-            depth > max_depth
-            or counts[0] == 0
-            or counts[1] == 0
-            or idx.shape[0] < 2 * min_leaf
-        ):
-            return _leaf(counts, tie_break)
+        if depth > max_depth or counts[0] == 0 or counts[1] == 0:
+            return _leaf(counts)
         best: tuple[float, int, float] | None = None
         for j, feat in enumerate(features):
-            found = _best_split_for_column(X[idx, j], y[idx], min_leaf)
+            found = _best_split_for_column(X[idx, j], y[idx])
             if found is None:
                 continue
             gini, thr = found
             if best is None or gini < best[0]:
                 best = (gini, j, thr)
         if best is None:
-            return _leaf(counts, tie_break)
+            return _leaf(counts)
         _, j, thr = best
         mask = X[idx, j] <= thr
         left = grow(idx[mask], depth + 1)
@@ -221,22 +188,13 @@ def fit_tree(
     return grow(np.arange(X.shape[0]), 1)
 
 
-def predict(tree: TreeNode, row: Mapping[str, float]) -> int:
-    """Route one record of coded feature values to its leaf class."""
-    node = tree
-    while isinstance(node, Split):
-        try:
-            value = row[node.feature]
-        except KeyError:
-            raise MissingFeatureError(f"row lacks feature {node.feature!r}") from None
-        node = node.left if node.goes_left(float(value)) else node.right
-    return node.predicted
-
-
 def predict_matrix(
     tree: TreeNode, X: np.ndarray, feature_index: Mapping[str, int]
 ) -> np.ndarray:
-    """Vectorized predictions for a coded feature matrix."""
+    """Vectorized predictions for a coded feature matrix.
+
+    Value <= threshold (or value in the level set) routes left.
+    """
     out = np.empty(X.shape[0], dtype=np.int64)
 
     def walk(node: TreeNode, idx: np.ndarray) -> None:
@@ -316,8 +274,6 @@ def kfold_cv(
     k: int,
     max_depth: int,
     seed: int,
-    min_leaf: int = 1,
-    tie_break: str = "death",
 ) -> Metrics:
     """Stratified k-fold cross-validation; rates are fold averages."""
     if k < 2:
@@ -340,7 +296,7 @@ def kfold_cv(
             raise TooFewRowsError(f"fold {f} is empty with k={k}, n={view.n_rows}")
         train = DatasetView(view.source, view.columns, view.rows[train_rows])
         test = DatasetView(view.source, view.columns, view.rows[test_rows])
-        tree = fit_tree(train, features, outcome, max_depth, min_leaf, tie_break)
+        tree = fit_tree(train, features, outcome, max_depth)
         m = evaluate(tree, test, outcome)
         sums += (m.sensitivity, m.specificity, m.f1, m.accuracy)
         pooled += (m.tp, m.fn, m.tn, m.fp)
@@ -389,6 +345,7 @@ class PermutationResult:
 def permutation_baseline(
     dataset: Dataset,
     pool: Sequence[str],
+    outcome: str,
     n_features: int,
     n_trials: int,
     k: int,
@@ -397,20 +354,17 @@ def permutation_baseline(
     seed: int,
     tolerance: float = 0.10,
     retry_budget: int = 50,
-    min_leaf: int = 1,
-    tie_break: str = "death",
 ) -> PermutationResult:
     """Distribution of CV metrics over random feature draws with matched row counts.
 
-    Each trial draws ``n_features`` distinct columns from the pool and
-    redraws (up to ``retry_budget`` times) until the complete-case count
+    Each trial draws ``n_features`` distinct columns from the pool, which
+    must not contain ``outcome``, and redraws (up to ``retry_budget`` times) until the complete-case count
     is within ``tolerance`` of ``target_n``. Per-trial seeds derive from
     the master seed, so trials are reproducible independently.
     """
     pool = sorted(set(pool), key=dataset.column_index)
     if len(pool) < n_features:
         raise ValueError(f"pool of {len(pool)} cannot supply {n_features} features")
-    outcome = dataset.outcome_column()
     trials = []
     for t in range(n_trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
@@ -429,7 +383,7 @@ def permutation_baseline(
             )
         feats, v = chosen
         cv_seed = int(rng.integers(0, 2**31 - 1))
-        metrics = kfold_cv(v, feats, outcome, k, max_depth, cv_seed, min_leaf, tie_break)
+        metrics = kfold_cv(v, feats, outcome, k, max_depth, cv_seed)
         trials.append(PermutationTrial(tuple(feats), v.n_rows, metrics))
     return PermutationResult(tuple(trials), target_n)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -249,3 +250,25 @@ def parent_sets_of_class(members: list, x: str) -> set:
     for edges in members:
         out.add(frozenset(a for a, b in edges if b == x))
     return out
+
+
+# -- DOT re-parsing -------------------------------------------------------------
+
+_DOT_NODE_RE = re.compile(r'^\s*"([^"]+)";\s*$')
+_DOT_EDGE_RE = re.compile(r'^\s*"([^"]+)"\s*--\s*"([^"]+)"\s*\[.*\];\s*$')
+
+
+def parse_dot(text: str):
+    """Nodes and undirected edges of the DOT text that ``graph.to_dot`` emits."""
+    from causaltab.graph import MixedGraph
+
+    g = MixedGraph()
+    for line in text.splitlines():
+        m = _DOT_NODE_RE.match(line)
+        if m:
+            g.add_node(m.group(1))
+            continue
+        m = _DOT_EDGE_RE.match(line)
+        if m:
+            g.add_edge(m.group(1), m.group(2))
+    return g

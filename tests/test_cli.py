@@ -100,3 +100,50 @@ def test_oracle_dag_mode(cohort_dir, tmp_path):
     step1 = json.loads((out / "step1.json").read_text())
     _, truth = make_clinical_synth(1)
     assert set(step1["selected_features"]) == set(truth.nodes) - {"OUTCOME"}
+
+
+def _data_args(cohort_dir):
+    return [
+        "--data", str(cohort_dir / "cohort.csv"),
+        "--schema", str(cohort_dir / "cohort.schema.json"),
+    ]
+
+
+def test_step_commands_write_the_same_files_as_run(cohort_dir, tmp_path):
+    config = ["--seed", "1", "--permutation-trials", "10"]
+    run = tmp_path / "run"
+    assert main(["run", *_data_args(cohort_dir), *config, "--out", str(run)]) == 0
+    steps = tmp_path / "steps"
+    assert main(["step1", *_data_args(cohort_dir), *config, "--out", str(steps)]) == 0
+    assert main([
+        "step2", *_data_args(cohort_dir), *config,
+        "--from-step1", str(steps / "step1.json"), "--out", str(steps),
+    ]) == 0
+    assert main([
+        "step3", *_data_args(cohort_dir), *config,
+        "--from-step2", str(steps / "step2.json"), "--out", str(steps),
+    ]) == 0
+
+    shared = sorted(p.name for p in run.iterdir() if p.name != "report.json")
+    assert "integrated.dot" in shared and "permutation_histogram.csv" in shared
+    for name in shared:
+        assert (steps / name).read_bytes() == (run / name).read_bytes(), name
+    report = json.loads((run / "report.json").read_text())
+    for step in ("step1", "step2", "step3"):
+        assert json.loads((steps / f"{step}.json").read_text()) == report[step]
+
+
+def test_possible_dsep_flag_turns_the_stage_on(cohort_dir, tmp_path):
+    out = tmp_path / "pdsep"
+    args = ["run", *_data_args(cohort_dir), "--permutation-trials", "0", "--out", str(out)]
+    assert main([*args, "--possible-dsep"]) == 0
+    assert json.loads((out / "report.json").read_text())["config"]["do_possible_dsep"] is True
+
+
+def test_config_file_with_unknown_key_exits_nonzero(cohort_dir, tmp_path, capsys):
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({"alpah": 0.5}))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *_data_args(cohort_dir), "--config", str(config), "--out", str(tmp_path / "x")])
+    assert exc.value.code not in (0, None)
+    assert "alpah" in str(exc.value.code)

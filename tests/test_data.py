@@ -186,14 +186,6 @@ class TestStandardize:
             assert abs(col.sum() / 50) < 1e-12
             assert abs(math.sqrt((col - col.mean()) @ (col - col.mean()) / 49) - 1) < 1e-12
 
-    def test_inverse_reproduces_input(self):
-        rng = np.random.default_rng(11)
-        mat = rng.normal(size=(30, 3)) * 7 + 3
-        schema = [ColumnSchema(f"c{i}", "continuous", "c") for i in range(3)]
-        ds = Dataset(schema, {f"c{i}": mat[:, i] for i in range(3)})
-        std = standardize(ds.view())
-        np.testing.assert_allclose(std.inverse(), mat, atol=1e-10)
-
 
 class TestSummarize:
     def test_normal_cohort_mean(self):

@@ -15,8 +15,16 @@ from causaltab.discovery import (
     run_fci,
 )
 from causaltab.errors import IncompleteViewError
-from causaltab.graph import ARROW, CIRCLE, TAIL, MixedGraph, PriorKnowledge, SepSetStore
-from causaltab.synth import d_separation_tester, sample_sem, sem_from_edges
+from causaltab.graph import (
+    ARROW,
+    CIRCLE,
+    TAIL,
+    MixedGraph,
+    PriorKnowledge,
+    SepSetStore,
+    d_separation_tester,
+)
+from causaltab.synth import sample_sem, sem_from_edges
 
 from oracles import dag_vstructures, enumerate_dags
 

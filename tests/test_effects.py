@@ -172,7 +172,7 @@ class TestAnnotateStrengths:
         ds = sample_sem(sem, 3000, seed=9)
         g = MixedGraph(["x", "y"])
         g.add_directed_edge("x", "y")
-        out = annotate_strengths(ds.view(), g, outcome="y")
+        out = annotate_strengths(g, effect_table(ds.view(), g, outcome="y"))
         assert out.edge("x", "y").strength > 0
 
     def test_engineered_negative_age_outcome_strength(self):
@@ -190,7 +190,7 @@ class TestAnnotateStrengths:
         )
         g = MixedGraph(["AGE", "OUTCOME"])
         g.add_directed_edge("AGE", "OUTCOME")
-        out = annotate_strengths(ds.view(), g, outcome="OUTCOME")
+        out = annotate_strengths(g, effect_table(ds.view(), g, outcome="OUTCOME"))
         assert out.edge("AGE", "OUTCOME").strength < 0
 
     def test_zero_coefficient_edge_has_small_strength(self):
@@ -199,7 +199,7 @@ class TestAnnotateStrengths:
         g = MixedGraph(["x", "y", "w"])
         g.add_directed_edge("x", "y")
         g.add_directed_edge("w", "y")  # forced edge with zero true effect
-        out = annotate_strengths(ds.view(), g, outcome="y")
+        out = annotate_strengths(g, effect_table(ds.view(), g, outcome="y"))
         assert abs(out.edge("w", "y").strength) < 0.05
 
     def test_feature_feature_edge_displays_larger_direction(self):

@@ -5,7 +5,7 @@ import pytest
 
 from causaltab.data import ColumnSchema, Dataset, complete_cases
 from causaltab.errors import CausalTabError
-from causaltab.graph import MixedGraph, PriorKnowledge, parse_dot
+from causaltab.graph import MixedGraph, PriorKnowledge
 from causaltab.pipeline import (
     PipelineConfig,
     run_full,
@@ -16,6 +16,8 @@ from causaltab.pipeline import (
 )
 from causaltab.synth import make_clinical_synth, shd
 from causaltab.tree import iter_nodes, Split
+
+from oracles import parse_dot
 
 QUIET = PipelineConfig(permutation_trials=0)
 
@@ -187,6 +189,19 @@ class TestStep3:
         payload = s3.to_json_dict()
         assert "comparison" not in payload
 
+    def test_outcome_override_keeps_outcome_columns_out_of_the_baseline(self, cohort):
+        # with a non-schema outcome, every random-feature tree predicts that
+        # outcome and no draw may include the schema's outcome column
+        ds, _ = cohort
+        cfg = PipelineConfig(
+            outcome="CONFUSION", permutation_trials=20, permutation_features=8, cv_folds=5, seed=1
+        )
+        s3 = step3_predictive(ds, ["AGE", "BUN", "PF"], cfg)
+        assert len(s3.permutation.trials) == 20
+        for trial in s3.permutation.trials:
+            assert "OUTCOME" not in trial.features
+            assert "CONFUSION" not in trial.features
+
 
 class TestFullRun:
     def test_report_deterministic_bytes(self, cohort):
@@ -250,3 +265,15 @@ def test_config_json_round_trip():
     assert again.max_cond_size == 2
     assert again.permutation_trials == 17
     assert again.prior.forbids("A", "B")
+
+
+def test_config_unknown_key_is_an_error():
+    with pytest.raises(ValueError, match="alpah"):
+        PipelineConfig.from_json_dict({"alpah": 0.5})
+
+
+def test_config_json_round_trip_covers_every_field():
+    cfg = PipelineConfig(outcome="CONFUSION", do_possible_dsep=True, permutation_features=5)
+    payload = cfg.to_json_dict()
+    assert set(payload) == {f for f in PipelineConfig.__dataclass_fields__} - {"prior"}
+    assert PipelineConfig.from_json_dict(payload) == cfg

@@ -6,19 +6,15 @@ import pytest
 from causaltab.data import complete_cases
 from causaltab.discovery import LearnConfig, learn_skeleton, oracle_ci_test
 from causaltab.errors import CyclicGraphError, NodeMismatchError
-from causaltab.graph import MixedGraph
+from causaltab.graph import MixedGraph, d_separated, topological_order
 from causaltab.stats import point_biserial
 from causaltab.synth import (
-    DiscreteBN,
     LinearSEM,
     clinical_truth_graph,
-    d_separated,
     make_clinical_synth,
-    sample_bn,
     sample_sem,
     sem_from_edges,
     shd,
-    topological_order,
 )
 
 from oracles import dsep_by_paths, enumerate_dags
@@ -59,89 +55,6 @@ class TestSampleSem:
         # var(z)=2, cov(x,z)=1, cov(x,y)=1, var(y)=3
         assert abs(np.cov(ds.coded("x"), ds.coded("z"))[0, 1] - 1.0) < 0.05
         assert abs(np.var(ds.coded("y"), ddof=1) - 3.0) < 0.1
-
-    def test_json_round_trip(self, tmp_path):
-        sem = sem_from_edges([("x", "y", 0.8)], noise_sd={"x": 1.0, "y": 0.5})
-        path = tmp_path / "sem.json"
-        sem.save(path)
-        again = LinearSEM.load(path)
-        assert again.to_json_dict() == sem.to_json_dict()
-
-
-def bernoulli_bn(p: float) -> DiscreteBN:
-    g = MixedGraph(["x"])
-    return DiscreteBN(
-        dag=g,
-        levels={"x": ("0", "1")},
-        parents={"x": ()},
-        cpts={"x": {(): (1 - p, p)}},
-    )
-
-
-class TestSampleBn:
-    def test_marginal_frequency(self):
-        ds = sample_bn(bernoulli_bn(0.268), 100_000, seed=5)
-        assert abs(ds.coded("x").mean() - 0.268) < 0.005
-
-    def test_deterministic_cpt_chain(self):
-        g = MixedGraph(["a", "b"])
-        g.add_directed_edge("a", "b")
-        bn = DiscreteBN(
-            dag=g,
-            levels={"a": ("0", "1"), "b": ("0", "1")},
-            parents={"a": (), "b": ("a",)},
-            cpts={
-                "a": {(): (0.5, 0.5)},
-                "b": {(0,): (1.0, 0.0), (1,): (0.0, 1.0)},
-            },
-        )
-        ds = sample_bn(bn, 5000, seed=6)
-        np.testing.assert_array_equal(ds.coded("a"), ds.coded("b"))
-
-    def test_collider_joint_matches_factored_distribution(self):
-        g = MixedGraph(["x", "y", "z"])
-        g.add_directed_edge("x", "z")
-        g.add_directed_edge("y", "z")
-        bn = DiscreteBN(
-            dag=g,
-            levels={n: ("0", "1") for n in "xyz"},
-            parents={"x": (), "y": (), "z": ("x", "y")},
-            cpts={
-                "x": {(): (0.6, 0.4)},
-                "y": {(): (0.3, 0.7)},
-                "z": {
-                    (0, 0): (0.9, 0.1),
-                    (0, 1): (0.2, 0.8),
-                    (1, 0): (0.4, 0.6),
-                    (1, 1): (0.05, 0.95),
-                },
-            },
-        )
-        n = 200_000
-        ds = sample_bn(bn, n, seed=8)
-        x, y, z = (ds.coded(c) for c in "xyz")
-        # marginal independence of x and y, in line with d-separation
-        assert d_separated(g, "x", "y", ())
-        assert abs(np.corrcoef(x, y)[0, 1]) < 0.01
-        # every joint cell frequency converges to the factored probability
-        px, py = 0.4, 0.7
-        for xv, yv, zv in itertools.product((0, 1), repeat=3):
-            p_z = bn.cpts["z"][(xv, yv)][zv]
-            expected = (px if xv else 1 - px) * (py if yv else 1 - py) * p_z
-            got = float(((x == xv) & (y == yv) & (z == zv)).mean())
-            assert abs(got - expected) < 0.006
-
-    def test_cpt_row_must_sum_to_one(self):
-        g = MixedGraph(["x"])
-        with pytest.raises(ValueError):
-            DiscreteBN(dag=g, levels={"x": ("0", "1")}, parents={"x": ()},
-                       cpts={"x": {(): (0.6, 0.399999)}})
-
-    def test_json_round_trip(self, tmp_path):
-        bn = bernoulli_bn(0.25)
-        path = tmp_path / "bn.json"
-        bn.save(path)
-        assert DiscreteBN.load(path).to_json_dict() == bn.to_json_dict()
 
 
 class TestDSeparation:
@@ -259,6 +172,29 @@ class TestTopologicalOrder:
 
 
 class TestClinicalSynth:
+    def test_age_pf_load_constant_matches_pilot_bisection(self):
+        # the reference derivation of synth._AGE_PF_LOAD: bisection of the
+        # shared AGE/PF loading until a 100k-row pilot sample's AGE
+        # point-biserial correlation with the outcome hits the target
+        from causaltab import synth
+
+        lat = synth._backbone_latents(np.random.default_rng(202007), 100_000)
+
+        def pbc_gap(load: float) -> float:
+            cols = synth._backbone_columns(lat, load)
+            r = synth._point_biserial_r(cols[synth._OUTCOME_NAME], cols["AGE"])
+            return -r - synth._PBC_TARGET  # r is negative; gap is increasing in load
+
+        lo, hi = 0.01, 1.60
+        assert pbc_gap(lo) < 0 < pbc_gap(hi)
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            if pbc_gap(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        assert abs(0.5 * (lo + hi) - synth._AGE_PF_LOAD) < 1e-12
+
     def test_age_and_pf_point_biserial_in_band(self):
         ds, _ = make_clinical_synth(0)
         v = complete_cases(ds, ["AGE", "OUTCOME"])

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from causaltab.data import ColumnSchema, Dataset, complete_cases
-from causaltab.errors import (
-    EmptyDataError,
-    ExhaustedDrawsError,
-    MissingFeatureError,
-    TooFewRowsError,
-)
+from causaltab.errors import EmptyDataError, ExhaustedDrawsError, TooFewRowsError
 from causaltab.tree import (
     Leaf,
     Metrics,
@@ -17,7 +12,7 @@ from causaltab.tree import (
     iter_nodes,
     kfold_cv,
     permutation_baseline,
-    predict,
+    predict_matrix,
     tree_depth,
     tree_features,
     tree_to_dot,
@@ -84,8 +79,6 @@ class TestFitTree:
         tree = fit_tree(ds.view(), ["X"], "Y", max_depth=2)
         assert isinstance(tree, Leaf)
         assert tree.predicted == 0
-        recovery = fit_tree(ds.view(), ["X"], "Y", max_depth=2, tie_break="recovery")
-        assert recovery.predicted == 1
 
     def test_binary_feature_stored_as_level_set(self):
         ds = numeric_dataset(
@@ -152,20 +145,11 @@ class TestFitTree:
                 right = node.right.class_counts if isinstance(node.right, Leaf) else node.right.class_counts
                 assert tuple(l + r for l, r in zip(left, right)) == node.class_counts
 
-    def test_min_leaf_respected(self):
-        rng = np.random.default_rng(29)
-        n = 60
-        ds = numeric_dataset({"X": rng.normal(size=n), "Y": rng.integers(0, 2, size=n)})
-        tree = fit_tree(ds.view(), ["X"], "Y", max_depth=6, min_leaf=5)
-        for node, _ in iter_nodes(tree):
-            if isinstance(node, Leaf):
-                assert sum(node.class_counts) >= 5
-
 
 class TestPredict:
     def test_leaf_only_tree(self):
         leaf = Leaf(class_counts=(3, 1), predicted=0)
-        assert predict(leaf, {}) == 0
+        assert predict_matrix(leaf, np.empty((1, 0)), {}).tolist() == [0]
 
     def test_boundary_value_goes_left(self):
         tree = Split(
@@ -176,13 +160,13 @@ class TestPredict:
             right=Leaf((0, 1), 1),
             class_counts=(1, 1),
         )
-        assert predict(tree, {"X": 0.5}) == 0
-        assert predict(tree, {"X": 0.5000001}) == 1
+        X = np.array([[0.5], [0.5000001]])
+        assert predict_matrix(tree, X, {"X": 0}).tolist() == [0, 1]
 
     def test_missing_feature(self):
         tree = Split("X", 0.5, None, Leaf((1, 0), 0), Leaf((0, 1), 1), (1, 1))
-        with pytest.raises(MissingFeatureError):
-            predict(tree, {"Z": 1.0})
+        with pytest.raises(KeyError):
+            predict_matrix(tree, np.array([[1.0]]), {"Z": 0})
 
     def test_matches_hand_walked_traversal(self):
         rng = np.random.default_rng(31)
@@ -206,8 +190,10 @@ class TestPredict:
                 node = node.left if go_left else node.right
             return node.predicted
 
-        for row in ds.view().records(["X1", "X2"]):
-            assert predict(tree, row) == walk(tree, row)
+        X = ds.view().matrix(["X1", "X2"])
+        preds = predict_matrix(tree, X, {"X1": 0, "X2": 1})
+        for i in range(n):
+            assert preds[i] == walk(tree, {"X1": X[i, 0], "X2": X[i, 1]})
 
 
 class TestEvaluate:
@@ -311,7 +297,7 @@ class TestPermutationBaseline:
         feats = ["S1", "S2"]
         view = complete_cases(ds, [*feats, "Y"])
         result = permutation_baseline(
-            ds, feats, n_features=2, n_trials=3, k=5, max_depth=3,
+            ds, feats, "Y", n_features=2, n_trials=3, k=5, max_depth=3,
             target_n=view.n_rows, seed=9,
         )
         assert all(t.features == ("S1", "S2") for t in result.trials)
@@ -322,7 +308,7 @@ class TestPermutationBaseline:
         ds = cohort_with_noise()
         with pytest.raises(ExhaustedDrawsError):
             permutation_baseline(
-                ds, ["S1", "S2", "N0"], n_features=2, n_trials=1, k=5,
+                ds, ["S1", "S2", "N0"], "Y", n_features=2, n_trials=1, k=5,
                 max_depth=3, target_n=10, seed=0, retry_budget=5,
             )
 
@@ -331,15 +317,15 @@ class TestPermutationBaseline:
         pool = [c for c in ds.column_names if c != "Y"]
         kwargs = dict(n_features=3, n_trials=4, k=5, max_depth=3,
                       target_n=200, seed=21)
-        r1 = permutation_baseline(ds, pool, **kwargs)
-        r2 = permutation_baseline(ds, pool, **kwargs)
+        r1 = permutation_baseline(ds, pool, "Y", **kwargs)
+        r2 = permutation_baseline(ds, pool, "Y", **kwargs)
         assert r1 == r2
 
     def test_histogram_counts_sum_to_trials(self):
         ds = cohort_with_noise()
         pool = [c for c in ds.column_names if c != "Y"]
         result = permutation_baseline(
-            ds, pool, n_features=3, n_trials=8, k=5, max_depth=3,
+            ds, pool, "Y", n_features=3, n_trials=8, k=5, max_depth=3,
             target_n=200, seed=2,
         )
         hist = result.histogram()
