@@ -149,8 +149,8 @@ def main(argv: list[str] | None = None) -> int:
     dataset = load_csv(args.data, args.schema)
 
     if args.command == "summarize":
-        table = summarize(dataset, by_outcome=not args.no_outcome_split)
-        print(table.to_json())
+        summary = summarize(dataset, by_outcome=not args.no_outcome_split)
+        print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
 
     config = _build_config(args)

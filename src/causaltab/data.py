@@ -343,53 +343,12 @@ def standardize(view: DatasetView, columns: Sequence[str] | None = None) -> Stan
     return StandardizedMatrix((mat - means) / sds, cols)
 
 
-@dataclass(frozen=True)
-class ColumnSummary:
-    name: str
-    category: str
-    kind: str
-    counts_by_class: tuple[int, ...] | None
-    total_nonmissing: int
-    mean: float | None = None
-    sd: float | None = None
-    level_counts: dict[str, int] | None = None
+def summarize(dataset: Dataset, by_outcome: bool = True) -> dict:
+    """Per-column occurrence counts (per outcome class) plus moments/level counts.
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "category": self.category,
-            "kind": self.kind,
-            "total_nonmissing": self.total_nonmissing,
-        }
-        if self.counts_by_class is not None:
-            out["counts_by_class"] = list(self.counts_by_class)
-        if self.mean is not None:
-            out["mean"] = self.mean
-            out["sd"] = self.sd
-        if self.level_counts is not None:
-            out["level_counts"] = self.level_counts
-        return out
-
-
-@dataclass(frozen=True)
-class SummaryTable:
-    rows: tuple[ColumnSummary, ...]
-    outcome: str | None
-    outcome_levels: tuple[str, ...] | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "outcome_levels": list(self.outcome_levels) if self.outcome_levels else None,
-            "columns": [r.to_json_dict() for r in self.rows],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-
-def summarize(dataset: Dataset, by_outcome: bool = True) -> SummaryTable:
-    """Per-column occurrence counts (per outcome class) plus moments/level counts."""
+    Returns the report's ``summary`` section: the outcome, its levels, and
+    one dict per column.
+    """
     outcome = None
     outcome_levels = None
     class_masks: list[np.ndarray] | None = None
@@ -397,40 +356,32 @@ def summarize(dataset: Dataset, by_outcome: bool = True) -> SummaryTable:
         outcome = dataset.outcome_column()
         out_schema = dataset.schema_for(outcome)
         out_codes = dataset.coded(outcome)
-        outcome_levels = out_schema.levels
+        outcome_levels = list(out_schema.levels)
         class_masks = [out_codes == k for k in range(out_schema.n_levels)]
 
     rows = []
     for col in dataset.schema:
         arr = dataset.coded(col.name)
         present = ~np.isnan(arr)
-        counts = None
+        row = {
+            "name": col.name,
+            "category": col.category,
+            "kind": col.kind,
+            "total_nonmissing": int(present.sum()),
+        }
         if class_masks is not None:
-            counts = tuple(int((present & m).sum()) for m in class_masks)
-        mean = sd = None
-        level_counts = None
+            row["counts_by_class"] = [int((present & m).sum()) for m in class_masks]
         vals = arr[present]
         if col.kind == KIND_CONTINUOUS:
             if vals.size:
-                mean = float(vals.mean())
-                sd = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
+                row["mean"] = float(vals.mean())
+                row["sd"] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
         else:
-            level_counts = {
+            row["level_counts"] = {
                 lab: int((vals == k).sum()) for k, lab in enumerate(col.levels)
             }
-        rows.append(
-            ColumnSummary(
-                name=col.name,
-                category=col.category,
-                kind=col.kind,
-                counts_by_class=counts,
-                total_nonmissing=int(present.sum()),
-                mean=mean,
-                sd=sd,
-                level_counts=level_counts,
-            )
-        )
-    return SummaryTable(tuple(rows), outcome, outcome_levels)
+        rows.append(row)
+    return {"outcome": outcome, "outcome_levels": outcome_levels, "columns": rows}
 
 
 # -- CSV + sidecar schema loading -------------------------------------------

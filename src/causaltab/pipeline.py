@@ -17,15 +17,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import OUTCOME_CATEGORY, Dataset, DatasetView, complete_cases, summarize
+from .data import KIND_BINARY, OUTCOME_CATEGORY, Dataset, DatasetView, complete_cases, summarize
 from .discovery import CITest, LearnConfig, run_fci
 from .effects import annotate_strengths, effect_table
 from .errors import CausalTabError
 from .graph import MixedGraph, PriorKnowledge, neighbors_within, to_dot
 from .stats import (
     ContingencyTable2x2,
-    FoldIncrease,
-    TestResult,
     fisher_exact,
     fold_increase,
     point_biserial,
@@ -46,7 +44,6 @@ __all__ = [
     "PipelineConfig",
     "CategoryResult",
     "Step1Result",
-    "BivariateRow",
     "Step2Result",
     "Step3Result",
     "PipelineReport",
@@ -142,48 +139,13 @@ class Step1Result:
 
 
 @dataclass(frozen=True)
-class BivariateRow:
-    feature: str
-    test: str
-    n_rows: int
-    result: TestResult
-    table: tuple[int, int, int, int] | None = None
-    rate_with: float | None = None
-    rate_without: float | None = None
-    fold: FoldIncrease | None = None
-    fold_direction: str | None = None
-    fold_shown: bool = False
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "feature": self.feature,
-            "test": self.test,
-            "n_rows": self.n_rows,
-            "statistic": self.result.statistic,
-            "p_value": self.result.p_value,
-            "effect": self.result.effect,
-        }
-        if self.table is not None:
-            out["table"] = list(self.table)
-            out["rate_with"] = self.rate_with
-            out["rate_without"] = self.rate_without
-            out["fold"] = {
-                "ratio": self.fold.ratio,
-                "factor": self.fold.factor,
-                "direction": self.fold_direction,
-                "shown": self.fold_shown,
-            }
-        return out
-
-
-@dataclass(frozen=True)
 class Step2Result:
     columns: tuple[str, ...]
     dropped_constant: tuple[str, ...]
     n_rows: int
     graph: MixedGraph
     effects: tuple[dict, ...]
-    bivariate: tuple[BivariateRow, ...]
+    bivariate: tuple[dict, ...]
     tree: TreeNode
     tree_features: tuple[str, ...]
     train_metrics: Metrics
@@ -196,7 +158,7 @@ class Step2Result:
             "n_rows": self.n_rows,
             "graph": self.graph.to_json_dict(),
             "effects": list(self.effects),
-            "bivariate": [b.to_json_dict() for b in self.bivariate],
+            "bivariate": list(self.bivariate),
             "tree_features": list(self.tree_features),
             "train_metrics": self.train_metrics.to_json_dict(),
             "tests_run": self.tests_run,
@@ -362,11 +324,8 @@ def step1_per_category(
     return Step1Result(per_category=tuple(results), selected_features=tuple(ordered))
 
 
-def _bivariate_rows(
-    dataset: Dataset, features: Sequence[str], outcome: str
-) -> list[BivariateRow]:
-    """Pairwise-complete bivariate tests of each feature against the outcome."""
-    out_schema = dataset.schema_for(outcome)
+def _bivariate_rows(dataset: Dataset, features: Sequence[str], outcome: str) -> list[dict]:
+    """Pairwise-complete bivariate tests of each feature against the outcome, as report rows."""
     base_view = complete_cases(dataset, [outcome])
     base_codes = base_view.coded(outcome)
     base_death = float((base_codes == 0).mean())
@@ -377,13 +336,13 @@ def _bivariate_rows(
         pair = complete_cases(dataset, [feat, outcome])
         fvals = pair.coded(feat)
         ovals = pair.coded(outcome)
-        if sch.kind == "binary":
+        if sch.kind == KIND_BINARY:
             present = fvals == 1
             a = int(((ovals == 0) & present).sum())
             b = int(((ovals == 1) & present).sum())
             c = int(((ovals == 0) & ~present).sum())
             d = int(((ovals == 1) & ~present).sum())
-            res = fisher_exact(ContingencyTable2x2(a, b, c, d))
+            test, res = "fisher_exact", fisher_exact(ContingencyTable2x2(a, b, c, d))
             n_with = a + b
             rate_death = a / n_with if n_with else 0.0
             rate_recovery = b / n_with if n_with else 0.0
@@ -393,26 +352,32 @@ def _bivariate_rows(
                 fold, direction = death_fold, "death"
             else:
                 fold, direction = recovery_fold, "recovery"
-            rows.append(
-                BivariateRow(
-                    feature=feat,
-                    test="fisher_exact",
-                    n_rows=pair.n_rows,
-                    result=res,
-                    table=(a, b, c, d),
-                    rate_with=rate_death,
-                    rate_without=c / (c + d) if c + d else 0.0,
-                    fold=fold,
-                    fold_direction=direction,
-                    fold_shown=fold.factor >= FOLD_DISPLAY_MIN,
-                )
-            )
+            extra = {
+                "table": [a, b, c, d],
+                "rate_with": rate_death,
+                "rate_without": c / (c + d) if c + d else 0.0,
+                "fold": {
+                    "ratio": fold.ratio,
+                    "factor": fold.factor,
+                    "direction": direction,
+                    "shown": fold.factor >= FOLD_DISPLAY_MIN,
+                },
+            }
         else:
             # continuous and multi-level ordinal features: point-biserial on codes
-            res = point_biserial((ovals == 1).astype(float), fvals)
-            rows.append(
-                BivariateRow(feature=feat, test="point_biserial", n_rows=pair.n_rows, result=res)
-            )
+            test, res = "point_biserial", point_biserial((ovals == 1).astype(float), fvals)
+            extra = {}
+        rows.append(
+            {
+                "feature": feat,
+                "test": test,
+                "n_rows": pair.n_rows,
+                "statistic": res.statistic,
+                "p_value": res.p_value,
+                "effect": res.effect,
+                **extra,
+            }
+        )
     return rows
 
 
@@ -509,7 +474,7 @@ def run_full(
     return PipelineReport(
         config=config,
         outcome=outcome,
-        summary=summarize(dataset).to_json_dict(),
+        summary=summarize(dataset),
         step1=step1,
         step2=step2,
         step3=step3,
@@ -531,17 +496,16 @@ def _write_category_dots(step1: Step1Result, outdir: Path) -> None:
         (outdir / f"category_{cat.category}.dot").write_text(to_dot(cat.graph), encoding="utf-8")
 
 
-def _write_step2_dots(step2: Step2Result, outdir: Path, dataset: Dataset | None) -> None:
+def _write_step2_dots(step2: Step2Result, outdir: Path, dataset: Dataset) -> None:
     (outdir / "integrated.dot").write_text(to_dot(step2.graph), encoding="utf-8")
-    schema_lookup = dataset.schema_for if dataset is not None else None
-    (outdir / "tree.dot").write_text(tree_to_dot(step2.tree, schema_lookup), encoding="utf-8")
+    (outdir / "tree.dot").write_text(tree_to_dot(step2.tree, dataset.schema_for), encoding="utf-8")
 
 
 def _write_histogram(step3: Step3Result, outdir: Path) -> None:
     if step3.permutation is None:
         return
     lines = ["bin_lo,bin_hi,count"]
-    for lo, hi, count in step3.permutation.histogram():
+    for lo, hi, count in step3.comparison["histogram"]:
         lines.append(f"{lo:.6f},{hi:.6f},{count}")
     (outdir / "permutation_histogram.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -553,7 +517,7 @@ def write_step1(result: Step1Result, outdir: str | Path) -> None:
     _write_category_dots(result, outdir)
 
 
-def write_step2(result: Step2Result, outdir: str | Path, dataset: Dataset | None = None) -> None:
+def write_step2(result: Step2Result, outdir: str | Path, dataset: Dataset) -> None:
     """``step2.json`` plus the integrated graph and the tree."""
     outdir = _output_dir(outdir)
     _write_json(outdir / "step2.json", result.to_json_dict())
@@ -567,9 +531,7 @@ def write_step3(result: Step3Result, outdir: str | Path) -> None:
     _write_histogram(result, outdir)
 
 
-def write_report(
-    report: PipelineReport, outdir: str | Path, dataset: Dataset | None = None
-) -> None:
+def write_report(report: PipelineReport, outdir: str | Path, dataset: Dataset) -> None:
     """One output directory: machine report, DOT graphs, tree, histogram."""
     outdir = _output_dir(outdir)
     _write_json(outdir / "report.json", report.to_json_dict())

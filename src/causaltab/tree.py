@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .data import ColumnSchema, Dataset, DatasetView, complete_cases
+from .data import KIND_BINARY, ColumnSchema, Dataset, DatasetView, complete_cases
 from .errors import EmptyDataError, ExhaustedDrawsError, IncompleteViewError, TooFewRowsError
 
 __all__ = [
@@ -35,6 +35,18 @@ __all__ = [
     "tree_to_dot",
 ]
 
+#: Leaf labels of outcome codes 0 and 1 in the rendered tree.
+CLASS_NAMES = ("death", "recovery")
+
+#: A permutation draw is kept when its complete-case count is within this
+#: fraction of the causal feature set's count ...
+DRAW_TOLERANCE = 0.10
+#: ... and a trial gives up after this many draws.
+RETRY_BUDGET = 50
+
+#: Width of the misclassification-rate bins of the permutation histogram.
+HISTOGRAM_BIN_WIDTH = 0.01
+
 
 @dataclass(frozen=True)
 class Leaf:
@@ -45,8 +57,7 @@ class Leaf:
 @dataclass(frozen=True)
 class Split:
     feature: str
-    threshold: float | None
-    levels: frozenset[int] | None
+    threshold: float
     left: "TreeNode"
     right: "TreeNode"
     class_counts: tuple[int, int]
@@ -133,11 +144,10 @@ def fit_tree(
 ) -> TreeNode:
     """Greedy Gini partitioning, depth counted in splits along a path.
 
-    Continuous and ordinal features split at midpoints of consecutive
-    distinct values; binary features split on level membership. Ties in
+    Every feature splits at a midpoint of consecutive distinct values; a
+    binary feature's only cut lies between its two codes. Ties in
     impurity prefer the earliest feature in declared order, then the
-    smallest threshold. Value <= threshold (or value in the level set)
-    routes left.
+    smallest threshold. Value <= threshold routes left.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
@@ -149,7 +159,6 @@ def fit_tree(
     if np.isnan(X).any() or np.isnan(y_raw).any():
         raise IncompleteViewError("tree fitting requires complete cases")
     y = y_raw.astype(np.int64)
-    binary = [view.schema_for(f).kind == "binary" for f in features]
 
     def grow(idx: np.ndarray, depth: int) -> TreeNode:
         counts = _class_counts(y[idx])
@@ -169,21 +178,7 @@ def fit_tree(
         mask = X[idx, j] <= thr
         left = grow(idx[mask], depth + 1)
         right = grow(idx[~mask], depth + 1)
-        levels = None
-        threshold = thr
-        if binary[j]:
-            levels = frozenset(
-                k for k in range(view.schema_for(features[j]).n_levels) if k <= thr
-            )
-            threshold = None
-        return Split(
-            feature=features[j],
-            threshold=threshold,
-            levels=levels,
-            left=left,
-            right=right,
-            class_counts=counts,
-        )
+        return Split(features[j], thr, left, right, counts)
 
     return grow(np.arange(X.shape[0]), 1)
 
@@ -191,21 +186,14 @@ def fit_tree(
 def predict_matrix(
     tree: TreeNode, X: np.ndarray, feature_index: Mapping[str, int]
 ) -> np.ndarray:
-    """Vectorized predictions for a coded feature matrix.
-
-    Value <= threshold (or value in the level set) routes left.
-    """
+    """Vectorized predictions for a coded feature matrix; value <= threshold routes left."""
     out = np.empty(X.shape[0], dtype=np.int64)
 
     def walk(node: TreeNode, idx: np.ndarray) -> None:
         if isinstance(node, Leaf):
             out[idx] = node.predicted
             return
-        vals = X[idx, feature_index[node.feature]]
-        if node.levels is not None:
-            mask = np.isin(vals.astype(np.int64), list(node.levels))
-        else:
-            mask = vals <= node.threshold
+        mask = X[idx, feature_index[node.feature]] <= node.threshold
         walk(node.left, idx[mask])
         walk(node.right, idx[~mask])
 
@@ -329,12 +317,12 @@ class PermutationResult:
     def mean_metric(self, name: str) -> float:
         return float(np.mean([getattr(t.metrics, name) for t in self.trials]))
 
-    def histogram(self, bin_width: float = 0.01) -> list[tuple[float, float, int]]:
-        """(lo, hi, count) rows over misclassification rates, fixed-width bins."""
+    def histogram(self) -> list[tuple[float, float, int]]:
+        """(lo, hi, count) rows over misclassification rates, HISTOGRAM_BIN_WIDTH wide."""
         mis = self.misclassification()
         top = float(mis.max()) if mis.size else 0.0
-        n_bins = max(1, int(math.ceil(round(top / bin_width, 9))) )
-        edges = np.arange(n_bins + 1) * bin_width
+        n_bins = max(1, int(math.ceil(round(top / HISTOGRAM_BIN_WIDTH, 9))))
+        edges = np.arange(n_bins + 1) * HISTOGRAM_BIN_WIDTH
         counts, _ = np.histogram(mis, bins=edges)
         return [
             (float(edges[i]), float(edges[i + 1]), int(counts[i]))
@@ -352,15 +340,14 @@ def permutation_baseline(
     max_depth: int,
     target_n: int,
     seed: int,
-    tolerance: float = 0.10,
-    retry_budget: int = 50,
 ) -> PermutationResult:
     """Distribution of CV metrics over random feature draws with matched row counts.
 
     Each trial draws ``n_features`` distinct columns from the pool, which
-    must not contain ``outcome``, and redraws (up to ``retry_budget`` times) until the complete-case count
-    is within ``tolerance`` of ``target_n``. Per-trial seeds derive from
-    the master seed, so trials are reproducible independently.
+    must not contain ``outcome``, and redraws (up to RETRY_BUDGET times)
+    until the complete-case count is within DRAW_TOLERANCE of
+    ``target_n``. Per-trial seeds derive from the master seed, so trials
+    are reproducible independently.
     """
     pool = sorted(set(pool), key=dataset.column_index)
     if len(pool) < n_features:
@@ -369,17 +356,17 @@ def permutation_baseline(
     for t in range(n_trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         chosen = None
-        for _attempt in range(retry_budget):
+        for _attempt in range(RETRY_BUDGET):
             picks = rng.choice(len(pool), size=n_features, replace=False)
             feats = [pool[i] for i in sorted(picks)]
             v = complete_cases(dataset, [*feats, outcome])
-            if abs(v.n_rows - target_n) <= tolerance * target_n:
+            if abs(v.n_rows - target_n) <= DRAW_TOLERANCE * target_n:
                 chosen = (feats, v)
                 break
         if chosen is None:
             raise ExhaustedDrawsError(
                 f"trial {t}: no {n_features}-feature draw matched "
-                f"{target_n} rows within {tolerance:.0%} in {retry_budget} attempts"
+                f"{target_n} rows within {DRAW_TOLERANCE:.0%} in {RETRY_BUDGET} attempts"
             )
         feats, v = chosen
         cv_seed = int(rng.integers(0, 2**31 - 1))
@@ -388,20 +375,17 @@ def permutation_baseline(
     return PermutationResult(tuple(trials), target_n)
 
 
-def tree_to_dot(
-    tree: TreeNode,
-    schema_for: Callable[[str], ColumnSchema] | None = None,
-    class_names: tuple[str, str] = ("death", "recovery"),
-) -> str:
-    """Render nodes as subject count / question / class counts, filled by prevalence."""
+def tree_to_dot(tree: TreeNode, schema_for: Callable[[str], ColumnSchema]) -> str:
+    """Render nodes as subject count / question / class counts, filled by prevalence.
+
+    A split on a binary column asks for the level labels that route left;
+    any other split asks ``FEAT <= threshold?``.
+    """
 
     def question(node: Split) -> str:
-        if node.levels is not None and schema_for is not None:
-            sch = schema_for(node.feature)
-            labels = ",".join(sch.levels[i] for i in sorted(node.levels))
-            return f"{node.feature} = {labels}?"
-        if node.levels is not None:
-            labels = ",".join(str(i) for i in sorted(node.levels))
+        sch = schema_for(node.feature)
+        if sch.kind == KIND_BINARY:
+            labels = ",".join(lab for k, lab in enumerate(sch.levels) if k <= node.threshold)
             return f"{node.feature} = {labels}?"
         return f"{node.feature} <= {node.threshold:.4g}?"
 
@@ -421,7 +405,7 @@ def tree_to_dot(
         if isinstance(node, Leaf):
             total = sum(node.class_counts)
             label = (
-                f"{total} subjects\\n{class_names[node.predicted]}"
+                f"{total} subjects\\n{CLASS_NAMES[node.predicted]}"
                 f"\\n{node.class_counts[0]}/{node.class_counts[1]}"
             )
             lines.append(

@@ -139,17 +139,18 @@ class TestStep2:
         assert step2.n_rows == recount.n_rows
 
     def test_bivariate_tables_cover_feature_kinds(self, step2):
-        by_feature = {row.feature: row for row in step2.bivariate}
-        assert by_feature["COPD"].test == "fisher_exact"
-        assert by_feature["AGE"].test == "point_biserial"
+        by_feature = {row["feature"]: row for row in step2.bivariate}
+        assert by_feature["COPD"]["test"] == "fisher_exact"
+        assert by_feature["AGE"]["test"] == "point_biserial"
+        assert "table" not in by_feature["AGE"]
         copd = by_feature["COPD"]
-        assert copd.table is not None and sum(copd.table) == copd.n_rows
-        assert copd.fold_direction == "death"
-        assert copd.fold.factor >= 1.2 and copd.fold_shown
+        assert sum(copd["table"]) == copd["n_rows"]
+        assert copd["fold"]["direction"] == "death"
+        assert copd["fold"]["factor"] >= 1.2 and copd["fold"]["shown"]
 
     def test_protective_feature_gets_recovery_fold(self, step2):
-        myalgia = next(r for r in step2.bivariate if r.feature == "MYALGIA")
-        assert myalgia.fold_direction == "recovery"
+        myalgia = next(r for r in step2.bivariate if r["feature"] == "MYALGIA")
+        assert myalgia["fold"]["direction"] == "recovery"
 
     def test_tree_uses_only_integrated_columns(self, step2):
         assert set(step2.tree_features) <= set(step2.columns)

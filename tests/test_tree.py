@@ -80,14 +80,16 @@ class TestFitTree:
         assert isinstance(tree, Leaf)
         assert tree.predicted == 0
 
-    def test_binary_feature_stored_as_level_set(self):
+    def test_binary_feature_splits_between_its_codes(self):
         ds = numeric_dataset(
             {"A": [0, 0, 1, 1], "Y": [0, 0, 1, 1]}, binary=("A", "Y")
         )
         tree = fit_tree(ds.view(), ["A"], "Y", max_depth=1)
         assert isinstance(tree, Split)
-        assert tree.threshold is None
-        assert tree.levels == frozenset({0})
+        assert 0 <= tree.threshold < 1
+        assert tree.left.class_counts == (2, 0)
+        assert tree.right.class_counts == (0, 2)
+        assert "A = 0?" in tree_to_dot(tree, ds.schema_for)
 
     def test_equal_gini_prefers_earlier_feature(self):
         # two identical copies of the same separating feature: the split
@@ -155,7 +157,6 @@ class TestPredict:
         tree = Split(
             feature="X",
             threshold=0.5,
-            levels=None,
             left=Leaf((1, 0), 0),
             right=Leaf((0, 1), 1),
             class_counts=(1, 1),
@@ -164,7 +165,7 @@ class TestPredict:
         assert predict_matrix(tree, X, {"X": 0}).tolist() == [0, 1]
 
     def test_missing_feature(self):
-        tree = Split("X", 0.5, None, Leaf((1, 0), 0), Leaf((0, 1), 1), (1, 1))
+        tree = Split("X", 0.5, Leaf((1, 0), 0), Leaf((0, 1), 1), (1, 1))
         with pytest.raises(KeyError):
             predict_matrix(tree, np.array([[1.0]]), {"Z": 0})
 
@@ -182,11 +183,7 @@ class TestPredict:
 
         def walk(node, row):
             while isinstance(node, Split):
-                value = row[node.feature]
-                if node.levels is not None:
-                    go_left = int(value) in node.levels
-                else:
-                    go_left = value <= node.threshold
+                go_left = row[node.feature] <= node.threshold
                 node = node.left if go_left else node.right
             return node.predicted
 
@@ -309,7 +306,7 @@ class TestPermutationBaseline:
         with pytest.raises(ExhaustedDrawsError):
             permutation_baseline(
                 ds, ["S1", "S2", "N0"], "Y", n_features=2, n_trials=1, k=5,
-                max_depth=3, target_n=10, seed=0, retry_budget=5,
+                max_depth=3, target_n=10, seed=0,
             )
 
     def test_deterministic_across_calls(self):
