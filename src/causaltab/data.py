@@ -168,10 +168,6 @@ class Dataset:
         return self._n_rows
 
     @property
-    def n_cols(self) -> int:
-        return len(self._schema)
-
-    @property
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self._schema)
 
@@ -288,21 +284,13 @@ class DatasetView:
         return all(not np.isnan(self.coded(c)).any() for c in cols)
 
 
-def complete_cases(source: Dataset | DatasetView, columns: Sequence[str]) -> DatasetView:
+def complete_cases(dataset: Dataset, columns: Sequence[str]) -> DatasetView:
     """View of the rows with no missing cell among ``columns``, order preserved."""
     cols = tuple(columns)
-    if isinstance(source, DatasetView):
-        dataset = source.source
-        base_rows = source.rows
-    else:
-        dataset = source
-        base_rows = np.arange(source.n_rows)
+    keep = np.ones(dataset.n_rows, dtype=bool)
     for c in cols:
-        dataset.schema_for(c)
-    keep = np.ones(base_rows.shape[0], dtype=bool)
-    for c in cols:
-        keep &= ~np.isnan(dataset.coded(c)[base_rows])
-    return DatasetView(dataset, cols, base_rows[keep])
+        keep &= ~np.isnan(dataset.coded(c))
+    return DatasetView(dataset, cols, np.nonzero(keep)[0])
 
 
 @dataclass(frozen=True)

@@ -243,18 +243,13 @@ def possible_dsep_prune(
     sepsets: SepSetStore,
     view: DatasetView,
     config: LearnConfig,
-    ci_test: CITest | None = None,
+    ci_test: CITest,
     prior: PriorKnowledge | None = None,
-    knowledge_removed: frozenset[frozenset[str]] = frozenset(),
 ) -> SkeletonResult:
     """Test remaining edges against possible-d-sep subsets and re-orient.
 
-    Expects v-structures already oriented. When ``config.do_possible_dsep``
-    is false the inputs are returned untouched.
+    Expects v-structures already oriented.
     """
-    if not config.do_possible_dsep:
-        return SkeletonResult(graph, sepsets, 0, knowledge_removed)
-    ci = ci_test or mixed_ci_test(view)
     order = {c: i for i, c in enumerate(view.columns)}
     g = graph.copy()
     seps = sepsets.copy()
@@ -274,7 +269,7 @@ def possible_dsep_prune(
             for size in range(1, limit + 1):
                 for sset in combinations(pool, size):
                     tests_run += 1
-                    if ci(x, y, sset) > config.alpha:
+                    if ci_test(x, y, sset) > config.alpha:
                         g.remove_edge(x, y)
                         seps.record(x, y, sset)
                         removed = True
@@ -283,10 +278,8 @@ def possible_dsep_prune(
                     break
             if removed:
                 break
-    pruned = SkeletonResult(g.skeleton(), seps, tests_run, knowledge_removed)
-    return SkeletonResult(
-        orient_v_structures(pruned), seps, tests_run, knowledge_removed
-    )
+    pruned = SkeletonResult(g.skeleton(), seps, tests_run)
+    return SkeletonResult(orient_v_structures(pruned), seps, tests_run)
 
 
 # -- orientation propagation rules --------------------------------------------
@@ -473,22 +466,19 @@ def run_fci(
     prior: PriorKnowledge | None = None,
     ci_test: CITest | None = None,
 ) -> FciResult:
-    """Full constraint-based run: skeleton, v-structures, pd-sep stage, rules."""
+    """Full constraint-based run: skeleton, v-structures, pd-sep stage, rules.
+
+    Both search stages share one CI test, so the default test standardizes
+    the view once.
+    """
     config = config or LearnConfig()
-    skel = learn_skeleton(view, config, prior, ci_test)
+    ci = ci_test or mixed_ci_test(view)
+    skel = learn_skeleton(view, config, prior, ci)
     graph = orient_v_structures(skel)
     sepsets = skel.sepsets
     tests = skel.tests_run
     if config.do_possible_dsep:
-        pruned = possible_dsep_prune(
-            graph,
-            sepsets,
-            view,
-            config,
-            ci_test=ci_test,
-            prior=prior,
-            knowledge_removed=skel.knowledge_removed,
-        )
+        pruned = possible_dsep_prune(graph, sepsets, view, config, ci, prior)
         graph, sepsets = pruned.graph, pruned.sepsets
         tests += pruned.tests_run
     if config.do_orientation:

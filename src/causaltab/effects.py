@@ -8,7 +8,6 @@ averaged over the graphs compatible with the learned structure.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -48,10 +47,11 @@ class EffectEstimate:
 def enumerate_parent_sets(g: MixedGraph, x: str) -> list[frozenset[str]]:
     """Distinct locally valid parent sets of x across orientations of its circle edges.
 
-    Neighbors with an arrowhead into x are parents in every extension;
-    circle-marked neighbors are toggled in or out, keeping only choices
-    that create no new v-structure at x (every toggled-in parent must be
-    adjacent to every other chosen parent).
+    Neighbors with an arrowhead into x are parents in every extension,
+    also across an edge with arrowheads at both ends. Circle-marked
+    neighbors are toggled in or out, keeping only choices that create no
+    new v-structure at x (every toggled-in parent must be adjacent to
+    every other chosen parent).
     """
     if not g.has_node(x):
         raise UnknownNodeError(f"unknown node {x!r}")
@@ -60,12 +60,6 @@ def enumerate_parent_sets(g: MixedGraph, x: str) -> list[frozenset[str]]:
     for nb in g.neighbors(x):
         mark = g.mark_at(nb, x, at=x)
         if mark == ARROW:
-            if g.mark_at(nb, x, at=nb) == ARROW:
-                warnings.warn(
-                    f"edge {nb!r} <-> {x!r} carries arrowheads at both ends; "
-                    "treating the neighbor as a parent for adjustment",
-                    stacklevel=2,
-                )
             definite.append(nb)
         elif mark == CIRCLE:
             optional.append(nb)

@@ -116,8 +116,8 @@ class MixedGraph:
         self._adj[u].add(v)
         self._adj[v].add(u)
 
-    def add_directed_edge(self, src: str, dst: str, strength: float | None = None) -> None:
-        self.add_edge(src, dst, mark_u=TAIL, mark_v=ARROW, strength=strength)
+    def add_directed_edge(self, src: str, dst: str) -> None:
+        self.add_edge(src, dst, mark_u=TAIL, mark_v=ARROW)
 
     def remove_edge(self, u: str, v: str) -> None:
         self._require(u)
@@ -201,10 +201,6 @@ class MixedGraph:
                 out.append((e.v, e.u))
         return out
 
-    def parents(self, v: str) -> tuple[str, ...]:
-        """Neighbors with a fully directed edge into v."""
-        return tuple(n for n in self.neighbors(v) if self.edge(n, v).is_directed_out_of(n))
-
     def children(self, v: str) -> tuple[str, ...]:
         return tuple(n for n in self.neighbors(v) if self.edge(v, n).is_directed_out_of(v))
 
@@ -280,9 +276,6 @@ class SepSetStore:
     def get(self, u: str, v: str) -> tuple[str, ...] | None:
         return self._store.get(frozenset((u, v)))
 
-    def has(self, u: str, v: str) -> bool:
-        return frozenset((u, v)) in self._store
-
     def __len__(self) -> int:
         return len(self._store)
 
@@ -349,9 +342,6 @@ class PriorKnowledge:
             unknown = sorted(pair - known_set)
             if unknown:
                 raise UnknownNodeError(f"prior knowledge names unknown columns: {unknown}")
-
-    def forbids(self, u: str, v: str) -> bool:
-        return frozenset((u, v)) in self.forbidden
 
     def requires(self, u: str, v: str) -> bool:
         return frozenset((u, v)) in self.required

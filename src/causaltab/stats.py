@@ -128,19 +128,17 @@ def fisher_z_ci_test(
     y: str,
     given: Sequence[str],
     m: StandardizedMatrix,
-    n: int | None = None,
 ) -> TestResult:
     """Gaussian conditional-independence test of x against y given a column set.
 
     The partial correlation is obtained by inverting the correlation
     submatrix of (x, y, given); the statistic is sqrt(n-|S|-3)*atanh(rho).
     """
-    n = m.n_rows if n is None else n
     cols = [m.index(x), m.index(y)] + [m.index(s) for s in given]
     sub = m.matrix[:, cols]
     corr = np.corrcoef(sub, rowvar=False)
     corr = np.atleast_2d(corr)
-    return fisher_z_from_correlation(corr, n, 0, 1, list(range(2, len(cols))))
+    return fisher_z_from_correlation(corr, m.n_rows, 0, 1, list(range(2, len(cols))))
 
 
 def g_squared_test(
@@ -246,18 +244,17 @@ def point_biserial(g, x) -> TestResult:
     return TestResult(statistic=tstat, p_value=min(p, 1.0), dof=float(dof), effect=r)
 
 
-def ols(y, X, add_intercept: bool = True) -> np.ndarray:
+def ols(y, X) -> np.ndarray:
     """Least-squares coefficients of y on X, intercept first.
 
-    Raises RankDeficientError when the (augmented) design matrix does not
-    have full column rank.
+    Raises RankDeficientError when the intercept-augmented design matrix
+    does not have full column rank.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
-    if add_intercept:
-        X = np.column_stack([np.ones(X.shape[0]), X])
+    X = np.column_stack([np.ones(X.shape[0]), X])
     n, p = X.shape
     if n <= p:
         raise SampleTooSmallError(f"need more rows ({n}) than columns ({p})")

@@ -66,7 +66,7 @@ class TestLoadCsv:
         )
         ds = load_csv(csv_path, schema_path)
         assert ds.n_rows == 3
-        assert ds.n_cols == 3
+        assert len(ds.column_names) == 3
         assert ds.outcome_column() == "OUTCOME"
         np.testing.assert_allclose(ds.coded("AGE"), [63.5, 71.0, 55.2])
 
@@ -157,7 +157,8 @@ class TestCompleteCases:
     def test_idempotent(self):
         ds = self.make()
         once = complete_cases(ds, ["A", "B"])
-        twice = complete_cases(once, ["A", "B"])
+        assert once.is_complete()
+        twice = complete_cases(once.source, once.columns)
         assert list(once.rows) == list(twice.rows)
         assert once.columns == twice.columns
 

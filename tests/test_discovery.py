@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from causaltab import discovery
 from causaltab.data import ColumnSchema, Dataset
 from causaltab.discovery import (
     LearnConfig,
@@ -170,12 +171,23 @@ class TestOrientVStructures:
 
 class TestPossibleDsep:
     def test_disabled_stage_is_identity(self):
-        res = learn_skeleton(chain_dataset(5).view(), LearnConfig())
-        g = orient_v_structures(res)
-        cfg = LearnConfig(do_possible_dsep=False)
-        out = possible_dsep_prune(g, res.sepsets, chain_dataset(5).view(), cfg)
-        assert edge_set(out.graph) == edge_set(g)
-        assert out.tests_run == 0
+        cfg = LearnConfig(do_possible_dsep=False, do_orientation=False)
+        res = run_fci(chain_dataset(5).view(), cfg)
+        assert res.tests_run == res.skeleton.tests_run
+        assert edge_set(res.graph) == edge_set(res.skeleton.graph)
+
+    def test_default_ci_test_built_once_per_run(self, monkeypatch):
+        built = []
+        original = discovery.mixed_ci_test
+
+        def counting(view):
+            built.append(view)
+            return original(view)
+
+        monkeypatch.setattr(discovery, "mixed_ci_test", counting)
+        res = run_fci(chain_dataset(5).view(), LearnConfig(do_possible_dsep=True))
+        assert len(built) == 1
+        assert res.tests_run >= res.skeleton.tests_run
 
     def test_tree_graph_no_removals_with_oracle(self):
         names = ["a", "b", "c", "d", "e"]

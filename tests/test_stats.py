@@ -112,7 +112,7 @@ class TestFisherZ:
         from causaltab.errors import SampleTooSmallError
 
         with pytest.raises(SampleTooSmallError):
-            fisher_z_ci_test("x", "y", ("x",), m, n=4)
+            fisher_z_ci_test("x", "y", ("x",), m)
 
     def test_collinear_conditioning_set(self):
         rng = np.random.default_rng(9)
