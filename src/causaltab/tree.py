@@ -132,7 +132,8 @@ def _best_split_for_column(values: np.ndarray, y: np.ndarray) -> tuple[float, fl
     gini_r = 1.0 - p0r**2 - (1.0 - p0r) ** 2
     weighted = (n_left * gini_l + n_right * gini_r) / n
     pos = int(np.argmin(weighted))  # first minimum: smallest threshold wins ties
-    thr = 0.5 * (sv[pos] + sv[pos + 1])
+    cut = cuts[pos]
+    thr = 0.5 * (sv[cut] + sv[cut + 1])
     return float(weighted[pos]), float(thr)
 
 

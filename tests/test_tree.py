@@ -91,6 +91,21 @@ class TestFitTree:
         assert tree.right.class_counts == (0, 2)
         assert "A = 0?" in tree_to_dot(tree, ds.schema_for)
 
+    def test_threshold_sits_at_the_best_cut(self):
+        # ordinal codes with ties: the best cut lies between codes 1 and 2,
+        # not at the first distinct-value boundary
+        schema = [
+            ColumnSchema("X", "ordinal", "c", levels=("0", "1", "2")),
+            ColumnSchema("Y", "binary", "outcome", levels=("0", "1")),
+        ]
+        ds = Dataset(
+            schema,
+            {"X": np.array([0.0, 0, 1, 1, 2, 2]), "Y": np.array([0.0, 0, 0, 0, 1, 1])},
+        )
+        tree = fit_tree(ds.view(), ["X"], "Y", max_depth=1)
+        assert tree.threshold == 1.5
+        assert evaluate(tree, ds.view(), "Y").accuracy == 1.0
+
     def test_equal_gini_prefers_earlier_feature(self):
         # two identical copies of the same separating feature: the split
         # must use the one declared first
