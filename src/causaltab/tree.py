@@ -39,9 +39,10 @@ __all__ = [
 CLASS_NAMES = ("death", "recovery")
 
 #: A permutation draw is kept when its complete-case count is within this
-#: fraction of the causal feature set's count ...
+#: fraction of the target count.
 DRAW_TOLERANCE = 0.10
-#: ... and a trial gives up after this many draws.
+
+#: Draws per permutation trial before it raises ExhaustedDrawsError.
 RETRY_BUDGET = 50
 
 #: Width of the misclassification-rate bins of the permutation histogram.
