@@ -84,17 +84,6 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _ci_factory(args: argparse.Namespace):
-    if not getattr(args, "oracle_dag", None):
-        return None
-    dag = MixedGraph.load(args.oracle_dag)
-
-    def factory(view):
-        return oracle_ci_test(dag)
-
-    return factory
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="causaltab",
@@ -154,18 +143,18 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     config = _build_config(args)
-    factory = _ci_factory(args)
+    ci_test = oracle_ci_test(MixedGraph.load(args.oracle_dag)) if args.oracle_dag else None
     outdir = args.out
 
     if args.command == "step1":
-        result = step1_per_category(dataset, config, factory)
+        result = step1_per_category(dataset, config, ci_test)
         write_step1(result, outdir)
         print(f"selected features: {', '.join(result.selected_features)}")
         return 0
 
     if args.command == "step2":
         selected = _features_arg(args, "from_step1", "selected_features")
-        result = step2_integrated(dataset, selected, config, factory)
+        result = step2_integrated(dataset, selected, config, ci_test)
         write_step2(result, outdir, dataset)
         print(f"tree features: {', '.join(result.tree_features)}")
         return 0
@@ -179,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "run":
-        report = run_full(dataset, config, factory)
+        report = run_full(dataset, config, ci_test)
         write_report(report, outdir, dataset)
         print(f"report written to {outdir}")
         return 0

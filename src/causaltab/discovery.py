@@ -241,16 +241,16 @@ def possible_dsep_set(g: MixedGraph, x: str) -> set[str]:
 def possible_dsep_prune(
     graph: MixedGraph,
     sepsets: SepSetStore,
-    view: DatasetView,
     config: LearnConfig,
     ci_test: CITest,
     prior: PriorKnowledge | None = None,
 ) -> SkeletonResult:
     """Test remaining edges against possible-d-sep subsets and re-orient.
 
-    Expects v-structures already oriented.
+    Expects v-structures already oriented. Conditioning sets are drawn in
+    the graph's node order.
     """
-    order = {c: i for i, c in enumerate(view.columns)}
+    order = {c: i for i, c in enumerate(graph.nodes)}
     g = graph.copy()
     seps = sepsets.copy()
     tests_run = 0
@@ -478,7 +478,7 @@ def run_fci(
     sepsets = skel.sepsets
     tests = skel.tests_run
     if config.do_possible_dsep:
-        pruned = possible_dsep_prune(graph, sepsets, view, config, ci, prior)
+        pruned = possible_dsep_prune(graph, sepsets, config, ci, prior)
         graph, sepsets = pruned.graph, pruned.sepsets
         tests += pruned.tests_run
     if config.do_orientation:

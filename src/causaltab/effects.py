@@ -8,7 +8,7 @@ averaged over the graphs compatible with the learned structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -35,14 +35,6 @@ class EffectEstimate:
     per_dag_effects: tuple[float, ...]
     mean_effect: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "per_dag_effects": list(self.per_dag_effects),
-            "mean_effect": self.mean_effect,
-        }
-
 
 def enumerate_parent_sets(g: MixedGraph, x: str) -> list[frozenset[str]]:
     """Distinct locally valid parent sets of x across orientations of its circle edges.
@@ -64,6 +56,7 @@ def enumerate_parent_sets(g: MixedGraph, x: str) -> list[frozenset[str]]:
         elif mark == CIRCLE:
             optional.append(nb)
 
+    # definite and optional are disjoint, so distinct choices give distinct sets
     out: list[frozenset[str]] = []
     for size in range(len(optional) + 1):
         for chosen in combinations(optional, size):
@@ -77,10 +70,7 @@ def enumerate_parent_sets(g: MixedGraph, x: str) -> list[frozenset[str]]:
                     break
             if valid:
                 out.append(frozenset(definite) | frozenset(chosen))
-    seen: dict[frozenset[str], None] = {}
-    for ps in out:
-        seen.setdefault(ps, None)
-    return list(seen)
+    return out
 
 
 def estimate_effect(
@@ -151,11 +141,11 @@ def effect_table(
         shown, other = _edge_direction(view, g, e.u, e.v, outcome, std)
         record = {
             "edge": sorted((e.u, e.v)),
-            "displayed": shown.to_json_dict(),
+            "displayed": asdict(shown),
             "sign": 0 if shown.mean_effect == 0 else (1 if shown.mean_effect > 0 else -1),
         }
         if other is not None:
-            record["reverse"] = other.to_json_dict()
+            record["reverse"] = asdict(other)
         rows.append(record)
     return rows
 

@@ -11,9 +11,9 @@ sets with matched subject counts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -114,28 +114,11 @@ class CategoryResult:
     selected: tuple[str, ...]
     tests_run: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "category": self.category,
-            "columns": list(self.columns),
-            "dropped_constant": list(self.dropped_constant),
-            "n_rows": self.n_rows,
-            "graph": self.graph.to_json_dict(),
-            "selected": list(self.selected),
-            "tests_run": self.tests_run,
-        }
-
 
 @dataclass(frozen=True)
 class Step1Result:
     per_category: tuple[CategoryResult, ...]
     selected_features: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "per_category": [c.to_json_dict() for c in self.per_category],
-            "selected_features": list(self.selected_features),
-        }
 
 
 @dataclass(frozen=True)
@@ -146,23 +129,10 @@ class Step2Result:
     graph: MixedGraph
     effects: tuple[dict, ...]
     bivariate: tuple[dict, ...]
-    tree: TreeNode
+    tree: TreeNode = field(metadata={"report": False})  # written to tree.dot
     tree_features: tuple[str, ...]
     train_metrics: Metrics
     tests_run: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "columns": list(self.columns),
-            "dropped_constant": list(self.dropped_constant),
-            "n_rows": self.n_rows,
-            "graph": self.graph.to_json_dict(),
-            "effects": list(self.effects),
-            "bivariate": list(self.bivariate),
-            "tree_features": list(self.tree_features),
-            "train_metrics": self.train_metrics.to_json_dict(),
-            "tests_run": self.tests_run,
-        }
 
 
 @dataclass(frozen=True)
@@ -173,52 +143,43 @@ class Step3Result:
     permutation: PermutationResult | None
     comparison: dict | None
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "tree_features": list(self.tree_features),
-            "n_rows": self.n_rows,
-            "cv_metrics": self.cv_metrics.to_json_dict(),
-        }
-        if self.permutation is not None:
-            out["permutation"] = {
-                "target_n": self.permutation.target_n,
-                "n_trials": len(self.permutation.trials),
-                "trials": [t.to_json_dict() for t in self.permutation.trials],
-            }
-            out["comparison"] = self.comparison
-        return out
-
 
 @dataclass(frozen=True)
 class PipelineReport:
+    """The whole analysis; steps 2 and 3 are None when step 1 selects nothing."""
+
     config: PipelineConfig
     outcome: str
     summary: dict
     step1: Step1Result
-    step2: Step2Result
-    step3: Step3Result
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config": self.config.to_json_dict(),
-            "outcome": self.outcome,
-            "summary": self.summary,
-            "step1": self.step1.to_json_dict(),
-            "step2": self.step2.to_json_dict(),
-            "step3": self.step3.to_json_dict(),
-        }
+    step2: Step2Result | None
+    step3: Step3Result | None
 
     def to_json(self) -> str:
-        return _dumps(self.to_json_dict())
+        return _dumps(self)
 
 
-def _dumps(payload: dict) -> str:
+def _dumps(result) -> str:
     """The JSON text of every output file: plain types, indent 2, sorted keys."""
-    return json.dumps(_plain(payload), indent=2, sort_keys=True)
+    return json.dumps(_plain(result), indent=2, sort_keys=True)
 
 
 def _plain(obj):
-    """Coerce numpy scalars and tuples so the report serializes deterministically."""
+    """The JSON form of a result.
+
+    An object with ``to_json_dict`` is written as what it returns. Any
+    other dataclass is written as its fields, leaving out fields that hold
+    None and fields marked ``metadata={"report": False}``. Tuples become
+    lists and numpy scalars Python numbers, so the text is deterministic.
+    """
+    if hasattr(obj, "to_json_dict"):
+        return _plain(obj.to_json_dict())
+    if is_dataclass(obj):
+        return {
+            f.name: _plain(value)
+            for f in fields(obj)
+            if f.metadata.get("report", True) and (value := getattr(obj, f.name)) is not None
+        }
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -280,7 +241,7 @@ def _prior_for(prior: PriorKnowledge | None, columns: Sequence[str]) -> PriorKno
 def step1_per_category(
     dataset: Dataset,
     config: PipelineConfig,
-    ci_test_factory: Callable[[DatasetView], CITest] | None = None,
+    ci_test: CITest | None = None,
 ) -> Step1Result:
     """Per-category structure learning; selects features within 2 hops of the outcome."""
     outcome = _resolve_outcome(dataset, config)
@@ -300,8 +261,7 @@ def step1_per_category(
         view, dropped = _analysis_view(dataset, cols, outcome)
         if view.n_rows < config.min_rows or outcome not in view.columns:
             continue
-        ci = ci_test_factory(view) if ci_test_factory else None
-        fci = run_fci(view, config.learn_config(), _prior_for(config.prior, view.columns), ci)
+        fci = run_fci(view, config.learn_config(), _prior_for(config.prior, view.columns), ci_test)
         graph = annotate_strengths(fci.graph, effect_table(view, fci.graph, outcome))
         near = sorted(
             neighbors_within(graph, outcome, 2),
@@ -385,7 +345,7 @@ def step2_integrated(
     dataset: Dataset,
     selected: Sequence[str],
     config: PipelineConfig,
-    ci_test_factory: Callable[[DatasetView], CITest] | None = None,
+    ci_test: CITest | None = None,
 ) -> Step2Result:
     """Joint re-analysis of the selected features plus the interpretable tree."""
     if not selected:
@@ -394,8 +354,7 @@ def step2_integrated(
     view, dropped = _analysis_view(dataset, selected, outcome)
     if outcome not in view.columns:
         raise CausalTabError("outcome is constant on the joint complete cases")
-    ci = ci_test_factory(view) if ci_test_factory else None
-    fci = run_fci(view, config.learn_config(), _prior_for(config.prior, view.columns), ci)
+    fci = run_fci(view, config.learn_config(), _prior_for(config.prior, view.columns), ci_test)
     effects = tuple(effect_table(view, fci.graph, outcome))
     graph = annotate_strengths(fci.graph, effects)
     features = [c for c in view.columns if c != outcome]
@@ -465,12 +424,19 @@ def step3_predictive(
 def run_full(
     dataset: Dataset,
     config: PipelineConfig,
-    ci_test_factory: Callable[[DatasetView], CITest] | None = None,
+    ci_test: CITest | None = None,
 ) -> PipelineReport:
+    """Steps 1 to 3; steps 2 and 3 are skipped when step 1 selects no feature.
+
+    ``ci_test`` replaces the per-view mixed CI test of every graph search,
+    e.g. ``oracle_ci_test(dag)`` for validation runs.
+    """
     outcome = _resolve_outcome(dataset, config)
-    step1 = step1_per_category(dataset, config, ci_test_factory)
-    step2 = step2_integrated(dataset, step1.selected_features, config, ci_test_factory)
-    step3 = step3_predictive(dataset, step2.tree_features, config)
+    step1 = step1_per_category(dataset, config, ci_test)
+    step2 = step3 = None
+    if step1.selected_features:
+        step2 = step2_integrated(dataset, step1.selected_features, config, ci_test)
+        step3 = step3_predictive(dataset, step2.tree_features, config)
     return PipelineReport(
         config=config,
         outcome=outcome,
@@ -487,8 +453,8 @@ def _output_dir(outdir: str | Path) -> Path:
     return outdir
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(_dumps(payload) + "\n", encoding="utf-8")
+def _write_json(path: Path, result) -> None:
+    path.write_text(_dumps(result) + "\n", encoding="utf-8")
 
 
 def _write_category_dots(step1: Step1Result, outdir: Path) -> None:
@@ -513,28 +479,33 @@ def _write_histogram(step3: Step3Result, outdir: Path) -> None:
 def write_step1(result: Step1Result, outdir: str | Path) -> None:
     """``step1.json`` plus one DOT graph per category."""
     outdir = _output_dir(outdir)
-    _write_json(outdir / "step1.json", result.to_json_dict())
+    _write_json(outdir / "step1.json", result)
     _write_category_dots(result, outdir)
 
 
 def write_step2(result: Step2Result, outdir: str | Path, dataset: Dataset) -> None:
     """``step2.json`` plus the integrated graph and the tree."""
     outdir = _output_dir(outdir)
-    _write_json(outdir / "step2.json", result.to_json_dict())
+    _write_json(outdir / "step2.json", result)
     _write_step2_dots(result, outdir, dataset)
 
 
 def write_step3(result: Step3Result, outdir: str | Path) -> None:
     """``step3.json`` plus the permutation histogram when there is a baseline."""
     outdir = _output_dir(outdir)
-    _write_json(outdir / "step3.json", result.to_json_dict())
+    _write_json(outdir / "step3.json", result)
     _write_histogram(result, outdir)
 
 
 def write_report(report: PipelineReport, outdir: str | Path, dataset: Dataset) -> None:
-    """One output directory: machine report, DOT graphs, tree, histogram."""
+    """One output directory: machine report, DOT graphs, tree, histogram.
+
+    A report without steps 2 and 3 writes ``report.json`` and the category
+    graphs only.
+    """
     outdir = _output_dir(outdir)
-    _write_json(outdir / "report.json", report.to_json_dict())
+    _write_json(outdir / "report.json", report)
     _write_category_dots(report.step1, outdir)
-    _write_step2_dots(report.step2, outdir, dataset)
-    _write_histogram(report.step3, outdir)
+    if report.step2 is not None:
+        _write_step2_dots(report.step2, outdir, dataset)
+        _write_histogram(report.step3, outdir)

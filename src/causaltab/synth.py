@@ -17,6 +17,7 @@ import numpy as np
 from .data import ColumnSchema, Dataset, KIND_BINARY, KIND_CONTINUOUS, KIND_ORDINAL
 from .errors import NodeMismatchError
 from .graph import MixedGraph, _directed_maps, topological_order
+from .stats import point_biserial
 
 __all__ = [
     "LinearSEM",
@@ -302,12 +303,6 @@ def _backbone_columns(
     }
 
 
-def _point_biserial_r(g: np.ndarray, x: np.ndarray) -> float:
-    gc = g - g.mean()
-    xc = x - x.mean()
-    return float(gc @ xc / math.sqrt((gc @ gc) * (xc @ xc)))
-
-
 def _refine_loads(lat: dict[str, np.ndarray], center: float) -> tuple[float, float]:
     """Per-sample coordinate bisection of the two outcome loads.
 
@@ -319,8 +314,8 @@ def _refine_loads(lat: dict[str, np.ndarray], center: float) -> tuple[float, flo
     def realized(age_load: float, pf_load: float) -> tuple[float, float]:
         cols = _backbone_columns(lat, age_load, pf_load)
         return (
-            _point_biserial_r(cols[_OUTCOME_NAME], cols["AGE"]),
-            _point_biserial_r(cols[_OUTCOME_NAME], cols["PF"]),
+            point_biserial(cols[_OUTCOME_NAME], cols["AGE"]).effect,
+            point_biserial(cols[_OUTCOME_NAME], cols["PF"]).effect,
         )
 
     a_age = a_pf = center

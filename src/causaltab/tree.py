@@ -300,18 +300,14 @@ class PermutationTrial:
     n_rows: int
     metrics: Metrics
 
-    def to_json_dict(self) -> dict:
-        return {
-            "features": list(self.features),
-            "n_rows": self.n_rows,
-            "metrics": self.metrics.to_json_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class PermutationResult:
     trials: tuple[PermutationTrial, ...]
     target_n: int
+
+    def to_json_dict(self) -> dict:
+        return {"target_n": self.target_n, "n_trials": len(self.trials), "trials": self.trials}
 
     def misclassification(self) -> np.ndarray:
         return np.array([1.0 - t.metrics.accuracy for t in self.trials])

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from causaltab.cli import main
@@ -147,3 +148,38 @@ def test_config_file_with_unknown_key_exits_nonzero(cohort_dir, tmp_path, capsys
         main(["run", *_data_args(cohort_dir), "--config", str(config), "--out", str(tmp_path / "x")])
     assert exc.value.code not in (0, None)
     assert "alpah" in str(exc.value.code)
+
+
+def test_run_with_no_selected_feature_writes_step1_report(tmp_path):
+    # seeded noise: no feature lies within two hops of the outcome
+    from causaltab.data import ColumnSchema, Dataset
+
+    rng = np.random.default_rng(0)
+    schema = [
+        ColumnSchema("LAB_A", "continuous", "labs"),
+        ColumnSchema("LAB_B", "continuous", "labs"),
+        ColumnSchema("HIST", "binary", "history", levels=("0", "1")),
+        ColumnSchema("OUTCOME", "binary", "outcome", levels=("0", "1")),
+    ]
+    coded = {
+        "LAB_A": rng.normal(size=200),
+        "LAB_B": rng.normal(size=200),
+        "HIST": rng.integers(0, 2, size=200).astype(float),
+        "OUTCOME": rng.integers(0, 2, size=200).astype(float),
+    }
+    ds = Dataset(schema, coded)
+    ds.write_csv(tmp_path / "noise.csv")
+    ds.write_schema(tmp_path / "noise.schema.json")
+    out = tmp_path / "out"
+    assert main([
+        "run",
+        "--data", str(tmp_path / "noise.csv"),
+        "--schema", str(tmp_path / "noise.schema.json"),
+        "--out", str(out),
+    ]) == 0
+    payload = json.loads((out / "report.json").read_text())
+    assert set(payload) == {"config", "outcome", "summary", "step1"}
+    assert payload["step1"]["selected_features"] == []
+    assert sorted(p.name for p in out.iterdir()) == [
+        "category_history.dot", "category_labs.dot", "report.json"
+    ]

@@ -198,7 +198,7 @@ class TestPossibleDsep:
         ci = oracle_ci_test(dag)
         res = learn_skeleton(view, LearnConfig(), ci_test=ci)
         g = orient_v_structures(res)
-        out = possible_dsep_prune(g, res.sepsets, view, LearnConfig(), ci_test=ci)
+        out = possible_dsep_prune(g, res.sepsets, LearnConfig(), ci_test=ci)
         assert edge_set(out.graph) == edge_set(res.graph)
 
     def test_latent_structure_needs_pdsep_and_matches_margin(self):
@@ -232,7 +232,7 @@ class TestPossibleDsep:
         res = learn_skeleton(view, LearnConfig(), ci_test=ci)
         assert frozenset(("B", "D")) in edge_set(res.graph) - mag_adjacency
         g = orient_v_structures(res)
-        out = possible_dsep_prune(g, res.sepsets, view, LearnConfig(), ci_test=ci)
+        out = possible_dsep_prune(g, res.sepsets, LearnConfig(), ci_test=ci)
         assert edge_set(out.graph) == mag_adjacency
 
     def test_latent_benchmark_statistical_vs_oracle_agreement(self):

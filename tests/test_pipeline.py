@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from causaltab.data import ColumnSchema, Dataset, complete_cases
+from causaltab.effects import EffectEstimate
 from causaltab.errors import CausalTabError
 from causaltab.graph import MixedGraph, PriorKnowledge
 from causaltab.pipeline import (
@@ -13,6 +15,7 @@ from causaltab.pipeline import (
     step2_integrated,
     step3_predictive,
     write_report,
+    write_step3,
 )
 from causaltab.synth import make_clinical_synth, shd
 from causaltab.tree import iter_nodes, Split
@@ -182,13 +185,16 @@ class TestStep3:
         for trial in s3.permutation.trials:
             assert abs(trial.n_rows - s3.permutation.target_n) <= 0.1 * s3.permutation.target_n
 
-    def test_zero_trials_skips_comparison(self, cohort, step2):
+    def test_zero_trials_skips_comparison(self, cohort, step2, tmp_path):
         ds, _ = cohort
         s3 = step3_predictive(ds, step2.tree_features, QUIET)
         assert s3.permutation is None
         assert s3.comparison is None
-        payload = s3.to_json_dict()
+        write_step3(s3, tmp_path)
+        payload = json.loads((tmp_path / "step3.json").read_text())
+        assert "permutation" not in payload
         assert "comparison" not in payload
+        assert not (tmp_path / "permutation_histogram.csv").exists()
 
     def test_outcome_override_keeps_outcome_columns_out_of_the_baseline(self, cohort):
         # with a non-schema outcome, every random-feature tree predicts that
@@ -236,6 +242,30 @@ class TestFullRun:
         assert hist_lines[0] == "bin_lo,bin_hi,count"
         assert sum(int(l.split(",")[2]) for l in hist_lines[1:]) == 25
 
+    def test_each_section_is_written_as_its_fields(self, cohort):
+        ds, _ = cohort
+        report = run_full(ds, PipelineConfig(permutation_trials=3, seed=1))
+        payload = json.loads(report.to_json())
+
+        def field_names(result):
+            return {
+                f.name for f in fields(result)
+                if f.name != "tree" and getattr(result, f.name) is not None
+            }
+
+        assert set(payload) == field_names(report)
+        assert set(payload["step1"]) == field_names(report.step1)
+        for cat, written in zip(report.step1.per_category, payload["step1"]["per_category"]):
+            assert set(written) == field_names(cat)
+        assert set(payload["step2"]) == field_names(report.step2)
+        assert "tree" not in payload["step2"]
+        assert set(payload["step2"]["effects"][0]["displayed"]) == {
+            f.name for f in fields(EffectEstimate)
+        }
+        assert set(payload["step3"]) == field_names(report.step3)
+        trial = report.step3.permutation.trials[0]
+        assert set(payload["step3"]["permutation"]["trials"][0]) == field_names(trial)
+
     def test_max_missing_filter_drops_leaky_columns(self):
         ds, _ = make_clinical_synth(5)
         cfg = PipelineConfig(permutation_trials=0, max_missing=10)
@@ -249,7 +279,7 @@ class TestFullRun:
         from causaltab.discovery import oracle_ci_test
 
         cfg = PipelineConfig(permutation_trials=0)
-        result = step1_per_category(ds, cfg, lambda view: oracle_ci_test(truth))
+        result = step1_per_category(ds, cfg, oracle_ci_test(truth))
         # with exact d-separation the selected set is exactly the truth features
         assert set(result.selected_features) == set(truth.nodes) - {"OUTCOME"}
 

@@ -182,7 +182,7 @@ class TestClinicalSynth:
 
         def pbc_gap(load: float) -> float:
             cols = synth._backbone_columns(lat, load)
-            r = synth._point_biserial_r(cols[synth._OUTCOME_NAME], cols["AGE"])
+            r = point_biserial(cols[synth._OUTCOME_NAME], cols["AGE"]).effect
             return -r - synth._PBC_TARGET  # r is negative; gap is increasing in load
 
         lo, hi = 0.01, 1.60
