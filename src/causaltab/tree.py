@@ -4,6 +4,14 @@ CART-style greedy partitioning on Gini impurity. Class 0 (the first
 declared outcome level, death in the clinical encoding) is the positive
 class throughout; leaf ties predict it since missing a death
 is the costlier triage error.
+
+``fit_tree`` presorts as CART does (Breiman et al. 1984): one stable
+argsort per feature per tree, after which each node carries its rows in
+every feature's order and a split passes each child its part of those
+orders. A node scores all cuts of all its features in one vectorized
+pass, with the same floating-point Gini expression per cut and the same
+tie order (earliest feature, then smallest threshold) as a per-feature
+search over freshly sorted rows would, so the trees are identical.
 """
 
 from __future__ import annotations
@@ -103,39 +111,52 @@ class Metrics:
         }
 
 
-def _class_counts(y: np.ndarray) -> tuple[int, int]:
-    n0 = int((y == 0).sum())
-    return n0, int(y.shape[0] - n0)
-
-
 def _leaf(counts: tuple[int, int]) -> Leaf:
     """Majority-class leaf; a tie predicts class 0 (death)."""
     return Leaf(class_counts=counts, predicted=0 if counts[0] >= counts[1] else 1)
 
 
-def _best_split_for_column(values: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
-    """(weighted Gini, threshold) of the best cut, or None when no cut exists."""
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    sy = y[order]
-    cuts = np.nonzero(np.diff(sv) > 0)[0]
-    if cuts.size == 0:
+def _best_split(
+    X: np.ndarray, is0: np.ndarray, order: np.ndarray
+) -> tuple[int, float, int, int] | None:
+    """(feature column, threshold, rows left, class-0 rows left) of a node's best split.
+
+    ``order`` holds the node's rows sorted by each feature, one column per
+    feature, and every feature is scored in one pass. Cut i puts sorted
+    rows 0..i left; positions between equal values score inf. The first
+    minimum of a column is its smallest threshold, and the first minimal
+    column is the earliest feature. None when no feature has a cut.
+    """
+    n, n_features = order.shape
+    if n_features == 0:
         return None
-    n = sv.shape[0]
-    ones = np.cumsum(sy == 0)
-    n_left = cuts + 1
+    sv = X[order, np.arange(n_features)]
+    ones = np.cumsum(is0[order], axis=0)
+    n_left = np.arange(1, n)[:, None]
     n_right = n - n_left
-    c0_left = ones[cuts].astype(float)
+    c0_left = ones[:-1].astype(float)
     c0_right = ones[-1] - c0_left
     p0l = c0_left / n_left
     p0r = c0_right / n_right
     gini_l = 1.0 - p0l**2 - (1.0 - p0l) ** 2
     gini_r = 1.0 - p0r**2 - (1.0 - p0r) ** 2
     weighted = (n_left * gini_l + n_right * gini_r) / n
-    pos = int(np.argmin(weighted))  # first minimum: smallest threshold wins ties
-    cut = cuts[pos]
-    thr = 0.5 * (sv[cut] + sv[cut + 1])
-    return float(weighted[pos]), float(thr)
+    weighted[sv[1:] <= sv[:-1]] = np.inf
+    pos = weighted.argmin(axis=0)
+    j = int(weighted[pos, np.arange(n_features)].argmin())
+    cut = pos[j]
+    if weighted[cut, j] == np.inf:
+        return None
+    column = sv[:, j]
+    thr = float(0.5 * (column[cut] + column[cut + 1]))
+    # cut + 1 rows, unless the midpoint rounds onto a neighbouring value
+    rows_left = int(np.searchsorted(column, thr, side="right"))
+    return j, thr, rows_left, int(ones[rows_left - 1, j]) if rows_left else 0
+
+
+def _partition(order: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The rows of ``order`` where ``keep`` holds, each column still in sorted order."""
+    return order.T[keep.T].reshape(order.shape[1], -1).T
 
 
 def fit_tree(
@@ -150,39 +171,44 @@ def fit_tree(
     binary feature's only cut lies between its two codes. Ties in
     impurity prefer the earliest feature in declared order, then the
     smallest threshold. Value <= threshold routes left.
+
+    The rows are sorted by every feature once per tree, stably. A node
+    scores all features' cuts in one pass over its sorted row orders, and
+    its split hands each child that child's part of the orders (a stable
+    partition, so no node sorts again) and its class counts.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     features = list(features)
     X = view.matrix(features)
-    y_raw = view.coded(outcome)
+    y = view.coded(outcome)
     if X.shape[0] == 0:
         raise EmptyDataError("no rows to fit on")
-    if np.isnan(X).any() or np.isnan(y_raw).any():
+    if np.isnan(X).any() or np.isnan(y).any():
         raise IncompleteViewError("tree fitting requires complete cases")
-    y = y_raw.astype(np.int64)
+    is0 = y.astype(np.int64) == 0
 
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        counts = _class_counts(y[idx])
+    def grow(
+        order: np.ndarray, keep: np.ndarray | None, counts: tuple[int, int], depth: int
+    ) -> TreeNode:
+        """The subtree of the rows of ``order`` where ``keep`` holds (None: all)."""
         if depth > max_depth or counts[0] == 0 or counts[1] == 0:
             return _leaf(counts)
-        best: tuple[float, int, float] | None = None
-        for j, feat in enumerate(features):
-            found = _best_split_for_column(X[idx, j], y[idx])
-            if found is None:
-                continue
-            gini, thr = found
-            if best is None or gini < best[0]:
-                best = (gini, j, thr)
-        if best is None:
+        if keep is not None:
+            order = _partition(order, keep)
+        found = _best_split(X, is0, order)
+        if found is None:
             return _leaf(counts)
-        _, j, thr = best
-        mask = X[idx, j] <= thr
-        left = grow(idx[mask], depth + 1)
-        right = grow(idx[~mask], depth + 1)
+        j, thr, rows_left, c0_left = found
+        goes_left = (X[:, j] <= thr)[order]
+        left_counts = (c0_left, rows_left - c0_left)
+        right_counts = (counts[0] - left_counts[0], counts[1] - left_counts[1])
+        left = grow(order, goes_left, left_counts, depth + 1)
+        right = grow(order, ~goes_left, right_counts, depth + 1)
         return Split(features[j], thr, left, right, counts)
 
-    return grow(np.arange(X.shape[0]), 1)
+    n0 = int(np.count_nonzero(is0))
+    return grow(np.argsort(X, axis=0, kind="stable"), None, (n0, X.shape[0] - n0), 1)
 
 
 def predict_matrix(

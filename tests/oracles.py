@@ -213,6 +213,72 @@ def _majority_accuracy(labels) -> float:
     return _majority_count(labels) / len(labels) if labels else 0.0
 
 
+def _reference_best_split_for_column(values: np.ndarray, y: np.ndarray):
+    """(weighted Gini, threshold) of one column's best cut, or None when none exists."""
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    sy = y[order]
+    cuts = np.nonzero(np.diff(sv) > 0)[0]
+    if cuts.size == 0:
+        return None
+    n = sv.shape[0]
+    ones = np.cumsum(sy == 0)
+    n_left = cuts + 1
+    n_right = n - n_left
+    c0_left = ones[cuts].astype(float)
+    c0_right = ones[-1] - c0_left
+    p0l = c0_left / n_left
+    p0r = c0_right / n_right
+    gini_l = 1.0 - p0l**2 - (1.0 - p0l) ** 2
+    gini_r = 1.0 - p0r**2 - (1.0 - p0r) ** 2
+    weighted = (n_left * gini_l + n_right * gini_r) / n
+    pos = int(np.argmin(weighted))  # first minimum: smallest threshold wins ties
+    cut = cuts[pos]
+    thr = 0.5 * (sv[cut] + sv[cut + 1])
+    return float(weighted[pos]), float(thr)
+
+
+def reference_fit_tree(view, features, outcome: str, max_depth: int):
+    """The tree that ``fit_tree`` must build, grown column by column and node by node.
+
+    Each node re-sorts every feature over its own rows and keeps the
+    first strictly smaller weighted Gini, so ties go to the earliest
+    feature and then the smallest threshold; class counts are recounted
+    at every node.
+    """
+    from causaltab.tree import Leaf, Split
+
+    features = list(features)
+    X = view.matrix(features)
+    y = view.coded(outcome).astype(np.int64)
+
+    def leaf(counts):
+        return Leaf(class_counts=counts, predicted=0 if counts[0] >= counts[1] else 1)
+
+    def grow(idx: np.ndarray, depth: int):
+        n0 = int((y[idx] == 0).sum())
+        counts = (n0, int(idx.shape[0] - n0))
+        if depth > max_depth or counts[0] == 0 or counts[1] == 0:
+            return leaf(counts)
+        best = None
+        for j in range(len(features)):
+            found = _reference_best_split_for_column(X[idx, j], y[idx])
+            if found is None:
+                continue
+            gini, thr = found
+            if best is None or gini < best[0]:
+                best = (gini, j, thr)
+        if best is None:
+            return leaf(counts)
+        _, j, thr = best
+        mask = X[idx, j] <= thr
+        left = grow(idx[mask], depth + 1)
+        right = grow(idx[~mask], depth + 1)
+        return Split(features[j], thr, left, right, counts)
+
+    return grow(np.arange(X.shape[0]), 1)
+
+
 # -- CPDAG construction by equivalence-class grouping ----------------------------------
 
 def group_dags_by_class(names: list[str]):

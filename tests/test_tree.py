@@ -4,6 +4,7 @@ import pytest
 from causaltab.data import ColumnSchema, Dataset, complete_cases
 from causaltab.errors import EmptyDataError, ExhaustedDrawsError, TooFewRowsError
 from causaltab.tree import (
+    RETRY_BUDGET,
     Leaf,
     Metrics,
     Split,
@@ -18,7 +19,7 @@ from causaltab.tree import (
     tree_to_dot,
 )
 
-from oracles import best_stump_accuracy
+from oracles import best_stump_accuracy, reference_fit_tree
 
 
 def numeric_dataset(columns: dict, binary=("Y",)):
@@ -161,6 +162,88 @@ class TestFitTree:
                 left = node.left.class_counts if isinstance(node.left, Leaf) else node.left.class_counts
                 right = node.right.class_counts if isinstance(node.right, Leaf) else node.right.class_counts
                 assert tuple(l + r for l, r in zip(left, right)) == node.class_counts
+
+
+def mixed_table(rng):
+    """Seeded table of 1-60 rows mixing binary, tied ordinal, continuous and constant columns."""
+    n = int(rng.choice([int(rng.integers(1, 8)), int(rng.integers(8, 61))]))
+    schema, coded = [], {}
+    for f in range(int(rng.integers(0, 7))):
+        name = f"F{f}"
+        kind = ("binary", "ordinal", "continuous", "constant")[int(rng.integers(0, 4))]
+        if kind == "binary":
+            schema.append(ColumnSchema(name, "binary", "c", levels=("0", "1")))
+            coded[name] = rng.integers(0, 2, n).astype(float)
+        elif kind == "ordinal":
+            # three levels, so most values are tied
+            schema.append(ColumnSchema(name, "ordinal", "c", levels=("0", "1", "2")))
+            coded[name] = rng.integers(0, 3, n).astype(float)
+        elif kind == "continuous":
+            schema.append(ColumnSchema(name, "continuous", "c"))
+            coded[name] = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+        else:
+            schema.append(ColumnSchema(name, "continuous", "c"))
+            coded[name] = np.full(n, float(rng.integers(-2, 3)))
+    schema.append(ColumnSchema("Y", "binary", "outcome", levels=("0", "1")))
+    coded["Y"] = (rng.random(n) < rng.choice([0.0, 0.2, 0.5, 0.8, 1.0])).astype(float)
+    return Dataset(schema, coded), [c.name for c in schema[:-1]]
+
+
+class TestFitTreeMatchesReference:
+    """``fit_tree`` grows exactly the tree of the per-column reference search."""
+
+    def test_random_mixed_tables(self):
+        rng = np.random.default_rng(2024)
+        small_split = pure_leaf_above_max_depth = False
+        for t in range(300):
+            ds, feats = mixed_table(rng)
+            depth = t % 5 + 1
+            tree = fit_tree(ds.view(), feats, "Y", max_depth=depth)
+            assert tree == reference_fit_tree(ds.view(), feats, "Y", max_depth=depth), t
+            for node, d in iter_nodes(tree):
+                total = sum(node.class_counts)
+                small_split |= isinstance(node, Split) and total <= 3
+                pure_leaf_above_max_depth |= (
+                    isinstance(node, Leaf) and d <= depth and 0 < total == max(node.class_counts)
+                )
+        # the draws reach the cases the search must get right
+        assert small_split and pure_leaf_above_max_depth
+
+    def test_tied_ordinal_codes(self):
+        schema = [
+            ColumnSchema("X", "ordinal", "c", levels=("0", "1", "2")),
+            ColumnSchema("Y", "binary", "outcome", levels=("0", "1")),
+        ]
+        ds = Dataset(
+            schema,
+            {"X": np.array([0.0, 0, 1, 1, 2, 2]), "Y": np.array([0.0, 0, 0, 0, 1, 1])},
+        )
+        for depth in (1, 2):
+            tree = fit_tree(ds.view(), ["X"], "Y", max_depth=depth)
+            assert tree == reference_fit_tree(ds.view(), ["X"], "Y", max_depth=depth)
+            assert tree.threshold == 1.5
+
+    def test_midpoints_that_round_or_overflow(self):
+        # 0.5 * (a + b) can round onto b, which then routes left with a,
+        # and overflows to +-inf for huge values
+        one_ulp = np.nextafter(1.0, 2.0) - 1.0
+        cases = [
+            ([1 + one_ulp, 1 + 2 * one_ulp, 2.0], [0, 1, 1]),
+            ([1 + one_ulp, 1 + 2 * one_ulp, 2.0], [0, 0, 1]),
+            ([1e308, 1.5e308, 1.7e308], [0, 1, 1]),
+            ([-1.7e308, -1.5e308, -1e308], [0, 0, 1]),
+        ]
+        for x, y in cases:
+            ds = numeric_dataset({"X": x, "Y": y})
+            for depth in (1, 2, 3):
+                with np.errstate(over="ignore"):
+                    tree = fit_tree(ds.view(), ["X"], "Y", max_depth=depth)
+                    assert tree == reference_fit_tree(ds.view(), ["X"], "Y", max_depth=depth)
+
+    def test_no_features_gives_a_leaf(self):
+        ds = numeric_dataset({"Y": [0, 1, 1]})
+        tree = fit_tree(ds.view(), [], "Y", max_depth=2)
+        assert tree == reference_fit_tree(ds.view(), [], "Y", max_depth=2) == Leaf((1, 2), 1)
 
 
 class TestPredict:
@@ -342,6 +425,57 @@ class TestPermutationBaseline:
         )
         hist = result.histogram()
         assert sum(c for _, _, c in hist) == 8
+
+
+class TestCallStructure:
+    """Fits and draws go through the tree module's ``fit_tree`` and ``complete_cases``."""
+
+    @staticmethod
+    def record(monkeypatch, name):
+        import causaltab.tree as tree_module
+
+        calls = []
+        real = getattr(tree_module, name)
+
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(tree_module, name, wrapper)
+        return calls
+
+    def test_kfold_cv_fits_one_tree_per_fold(self, monkeypatch):
+        fits = self.record(monkeypatch, "fit_tree")
+        kfold_cv(cohort_with_noise().view(), ["S1", "N0"], "Y", k=7, max_depth=3, seed=0)
+        assert len(fits) == 7
+
+    def test_permutation_baseline_checks_each_draw_once(self, monkeypatch):
+        full = cohort_with_noise()
+        cols = {c: full.coded(c).copy() for c in full.column_names}
+        cols["N0"][::2] = np.nan  # draws with N0 miss the row target
+        ds = numeric_dataset(cols)
+        pool = [c for c in ds.column_names if c != "Y"]
+        draws = self.record(monkeypatch, "complete_cases")
+        fits = self.record(monkeypatch, "fit_tree")
+        result = permutation_baseline(
+            ds, pool, "Y", n_features=3, n_trials=6, k=5, max_depth=3, target_n=200, seed=4,
+        )
+        kept = [
+            tuple(args[1][:-1]) for args, view in draws if abs(view.n_rows - 200) <= 0.1 * 200
+        ]
+        assert kept == [t.features for t in result.trials]
+        assert len(draws) > len(kept)  # some draws were rejected, each checked once
+        assert len(fits) == 6 * 5
+
+    def test_exhausted_trial_draws_the_whole_budget(self, monkeypatch):
+        draws = self.record(monkeypatch, "complete_cases")
+        with pytest.raises(ExhaustedDrawsError):
+            permutation_baseline(
+                cohort_with_noise(), ["S1", "S2", "N0"], "Y", n_features=2, n_trials=1, k=5,
+                max_depth=3, target_n=10, seed=0,
+            )
+        assert len(draws) == RETRY_BUDGET
 
 
 class TestTreeDot:
