@@ -146,7 +146,11 @@ class Step3Result:
 
 @dataclass(frozen=True)
 class PipelineReport:
-    """The whole analysis; steps 2 and 3 are None when step 1 selects nothing."""
+    """The whole analysis.
+
+    Steps 2 and 3 are None when step 1 selects nothing, and step 3 is None
+    when the step-2 tree uses no feature.
+    """
 
     config: PipelineConfig
     outcome: str
@@ -382,6 +386,8 @@ def step3_predictive(
     config: PipelineConfig,
 ) -> Step3Result:
     """CV of the causal features versus the random-feature permutation baseline."""
+    if not tree_feats:
+        raise CausalTabError("the step-2 tree uses no feature")
     outcome = _resolve_outcome(dataset, config)
     view = complete_cases(dataset, [*tree_feats, outcome])
     cv = kfold_cv(
@@ -426,7 +432,9 @@ def run_full(
     config: PipelineConfig,
     ci_test: CITest | None = None,
 ) -> PipelineReport:
-    """Steps 1 to 3; steps 2 and 3 are skipped when step 1 selects no feature.
+    """Steps 1 to 3, skipping steps 2 and 3 when step 1 selects no feature.
+
+    Step 3 is also skipped when the step-2 tree uses no feature.
 
     ``ci_test`` replaces the per-view mixed CI test of every graph search,
     e.g. ``oracle_ci_test(dag)`` for validation runs.
@@ -436,7 +444,8 @@ def run_full(
     step2 = step3 = None
     if step1.selected_features:
         step2 = step2_integrated(dataset, step1.selected_features, config, ci_test)
-        step3 = step3_predictive(dataset, step2.tree_features, config)
+        if step2.tree_features:
+            step3 = step3_predictive(dataset, step2.tree_features, config)
     return PipelineReport(
         config=config,
         outcome=outcome,
@@ -501,11 +510,12 @@ def write_report(report: PipelineReport, outdir: str | Path, dataset: Dataset) -
     """One output directory: machine report, DOT graphs, tree, histogram.
 
     A report without steps 2 and 3 writes ``report.json`` and the category
-    graphs only.
+    graphs only; one without step 3 has no histogram.
     """
     outdir = _output_dir(outdir)
     _write_json(outdir / "report.json", report)
     _write_category_dots(report.step1, outdir)
     if report.step2 is not None:
         _write_step2_dots(report.step2, outdir, dataset)
+    if report.step3 is not None:
         _write_histogram(report.step3, outdir)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causaltab
 from causaltab.cli import main
 from causaltab.synth import make_clinical_synth
 
@@ -148,6 +153,21 @@ def test_config_file_with_unknown_key_exits_nonzero(cohort_dir, tmp_path, capsys
         main(["run", *_data_args(cohort_dir), "--config", str(config), "--out", str(tmp_path / "x")])
     assert exc.value.code not in (0, None)
     assert "alpah" in str(exc.value.code)
+
+
+def test_step3_from_a_step2_tree_without_features_exits_nonzero(cohort_dir, tmp_path):
+    step2 = tmp_path / "step2.json"
+    step2.write_text(json.dumps({"tree_features": []}))
+    src = str(Path(causaltab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "causaltab.cli", "step3", *_data_args(cohort_dir),
+         "--from-step2", str(step2), "--permutation-trials", "3", "--out", str(tmp_path / "s3")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode != 0
+    assert "the step-2 tree uses no feature" in proc.stderr
+    assert not (tmp_path / "s3" / "step3.json").exists()
 
 
 def test_run_with_no_selected_feature_writes_step1_report(tmp_path):

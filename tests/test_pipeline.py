@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from causaltab.pipeline import (
     write_step3,
 )
 from causaltab.synth import make_clinical_synth, shd
-from causaltab.tree import iter_nodes, Split
+from causaltab.tree import Leaf, iter_nodes, Split
 
 from oracles import parse_dot
 
@@ -196,6 +196,12 @@ class TestStep3:
         assert "comparison" not in payload
         assert not (tmp_path / "permutation_histogram.csv").exists()
 
+    def test_no_tree_feature_raises(self, cohort):
+        ds, _ = cohort
+        cfg = PipelineConfig(permutation_trials=3, seed=1)
+        with pytest.raises(CausalTabError, match="the step-2 tree uses no feature"):
+            step3_predictive(ds, [], cfg)
+
     def test_outcome_override_keeps_outcome_columns_out_of_the_baseline(self, cohort):
         # with a non-schema outcome, every random-feature tree predicts that
         # outcome and no draw may include the schema's outcome column
@@ -217,6 +223,27 @@ class TestFullRun:
         r1 = run_full(ds, cfg)
         r2 = run_full(ds, cfg)
         assert r1.to_json() == r2.to_json()
+
+    def test_single_leaf_step2_tree_skips_step3(self, cohort, monkeypatch, tmp_path):
+        # a step-2 tree without a split leaves step 3 nothing to compare
+        import causaltab.pipeline as pipeline
+
+        real = pipeline.step2_integrated
+
+        def single_leaf(*args, **kwargs):
+            s2 = real(*args, **kwargs)
+            return replace(s2, tree=Leaf(s2.tree.class_counts, 0), tree_features=())
+
+        monkeypatch.setattr(pipeline, "step2_integrated", single_leaf)
+        ds, _ = cohort
+        report = run_full(ds, PipelineConfig(permutation_trials=3, seed=1))
+        assert report.step2 is not None and report.step3 is None
+        write_report(report, tmp_path, ds)
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["step2"]["tree_features"] == []
+        assert "step3" not in payload
+        assert (tmp_path / "tree.dot").exists()
+        assert not (tmp_path / "permutation_histogram.csv").exists()
 
     def test_report_metrics_rederive_and_files_write(self, cohort, tmp_path):
         ds, _ = cohort
