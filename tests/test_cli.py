@@ -159,7 +159,8 @@ def test_step3_from_a_step2_tree_without_features_exits_nonzero(cohort_dir, tmp_
     step2 = tmp_path / "step2.json"
     step2.write_text(json.dumps({"tree_features": []}))
     src = str(Path(causaltab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "causaltab.cli", "step3", *_data_args(cohort_dir),
          "--from-step2", str(step2), "--permutation-trials", "3", "--out", str(tmp_path / "s3")],

@@ -194,7 +194,7 @@ class TestFitTreeMatchesReference:
 
     def test_random_mixed_tables(self):
         rng = np.random.default_rng(2024)
-        small_split = pure_leaf_above_max_depth = False
+        small_split = pure_leaf_before_max_depth = False
         for t in range(300):
             ds, feats = mixed_table(rng)
             depth = t % 5 + 1
@@ -203,31 +203,19 @@ class TestFitTreeMatchesReference:
             for node, d in iter_nodes(tree):
                 total = sum(node.class_counts)
                 small_split |= isinstance(node, Split) and total <= 3
-                pure_leaf_above_max_depth |= (
+                pure_leaf_before_max_depth |= (
                     isinstance(node, Leaf) and d <= depth and 0 < total == max(node.class_counts)
                 )
         # the draws reach the cases the search must get right
-        assert small_split and pure_leaf_above_max_depth
+        assert small_split and pure_leaf_before_max_depth
 
-    def test_tied_ordinal_codes(self):
-        schema = [
-            ColumnSchema("X", "ordinal", "c", levels=("0", "1", "2")),
-            ColumnSchema("Y", "binary", "outcome", levels=("0", "1")),
-        ]
-        ds = Dataset(
-            schema,
-            {"X": np.array([0.0, 0, 1, 1, 2, 2]), "Y": np.array([0.0, 0, 0, 0, 1, 1])},
-        )
-        for depth in (1, 2):
-            tree = fit_tree(ds.view(), ["X"], "Y", max_depth=depth)
-            assert tree == reference_fit_tree(ds.view(), ["X"], "Y", max_depth=depth)
-            assert tree.threshold == 1.5
-
-    def test_midpoints_that_round_or_overflow(self):
-        # 0.5 * (a + b) can round onto b, which then routes left with a,
-        # and overflows to +-inf for huge values
+    def test_tied_and_extreme_values(self):
+        # tied ordinal codes whose best cut is not the first boundary; a
+        # midpoint 0.5 * (a + b) that rounds onto b, which then routes left
+        # with a; midpoints that overflow to +-inf
         one_ulp = np.nextafter(1.0, 2.0) - 1.0
         cases = [
+            ([0, 0, 1, 1, 2, 2], [0, 0, 0, 0, 1, 1]),
             ([1 + one_ulp, 1 + 2 * one_ulp, 2.0], [0, 1, 1]),
             ([1 + one_ulp, 1 + 2 * one_ulp, 2.0], [0, 0, 1]),
             ([1e308, 1.5e308, 1.7e308], [0, 1, 1]),
