@@ -10,6 +10,7 @@ from pathlib import Path
 
 from .data import load_csv, summarize
 from .discovery import oracle_ci_test
+from .errors import CausalTabError
 from .graph import MixedGraph, PriorKnowledge
 from .pipeline import (
     PipelineConfig,
@@ -124,7 +125,16 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except CausalTabError as exc:
+        # the one-line message of a config error, not a traceback; returned
+        # rather than raised so that in-process callers get a status
+        print(f"causaltab: {exc}", file=sys.stderr)
+        return 1
 
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "synth":
         dataset, truth = make_clinical_synth(args.seed)
         outdir = Path(args.out)
@@ -167,14 +177,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"causal-feature CV accuracy: {acc:.3f} over {result.n_rows} rows")
         return 0
 
-    if args.command == "run":
-        report = run_full(dataset, config, ci_test)
-        write_report(report, outdir, dataset)
-        print(f"report written to {outdir}")
-        return 0
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    report = run_full(dataset, config, ci_test)  # the "run" command
+    write_report(report, outdir, dataset)
+    print(f"report written to {outdir}")
+    return 0
 
 
 def _features_arg(args: argparse.Namespace, from_key: str, json_field: str) -> list[str]:

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -98,15 +99,6 @@ class ColumnSchema:
         if self.levels is None:
             raise ValueError(f"continuous column {self.name!r} has no levels")
         return len(self.levels)
-
-    def code_of(self, raw: str) -> float:
-        """Numeric code of a raw cell: level rank for categorical, float value otherwise."""
-        if self.is_categorical:
-            try:
-                return float(self.levels.index(raw))
-            except ValueError:
-                raise KeyError(raw) from None
-        return float(raw)
 
     def label_of(self, code: float) -> str:
         if self.is_categorical:
@@ -244,7 +236,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class DatasetView:
-    """Read-only index overlay selecting rows and columns of a Dataset."""
+    """Read-only index overlay selecting rows and columns of a Dataset.
+
+    ``categorical_codes`` decodes the view's complete categorical columns
+    once, on first use, for the categorical CI tests that run on the view.
+    """
 
     source: Dataset
     columns: tuple[str, ...]
@@ -282,6 +278,25 @@ class DatasetView:
     def is_complete(self, columns: Sequence[str] | None = None) -> bool:
         cols = tuple(columns) if columns is not None else self.columns
         return all(not np.isnan(self.coded(c)).any() for c in cols)
+
+    @cached_property
+    def categorical_codes(self) -> dict[str, tuple[np.ndarray, int]]:
+        """Read-only int64 codes and level count of each complete categorical column.
+
+        Continuous columns and columns with a missing cell are left out.
+        """
+        out = {}
+        for name in self.columns:
+            sch = self.schema_for(name)
+            if not sch.is_categorical:
+                continue
+            arr = self.coded(name)
+            if np.isnan(arr).any():
+                continue
+            codes = arr.astype(np.int64)
+            codes.flags.writeable = False
+            out[name] = (codes, sch.n_levels)
+        return out
 
 
 def complete_cases(dataset: Dataset, columns: Sequence[str]) -> DatasetView:
@@ -416,25 +431,31 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
             raise SchemaMismatchError(
                 f"{path}: header/schema disagree (unexpected {extra}, missing {absent})"
             )
-        positions = {name: header.index(name) for name in want}
         data: dict[str, list[float]] = {name: [] for name in want}
-        by_name = {c.name: c for c in schema}
+        # one decoder per column, in schema order: a categorical cell is
+        # looked up as its level rank (KeyError if undeclared), a continuous
+        # one parsed as a float (ValueError if not a number)
+        decoders = []
+        for col in schema:
+            if col.is_categorical:
+                decode = {label: float(i) for i, label in enumerate(col.levels)}.__getitem__
+            else:
+                decode = float
+            decoders.append((col, header.index(col.name), decode, data[col.name].append))
         for r, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise SchemaMismatchError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-            for name in want:
-                cell = row[positions[name]].strip()
+            for col, pos, decode, append in decoders:
+                cell = row[pos].strip()
                 if cell in MISSING_TOKENS:
-                    data[name].append(math.nan)
+                    append(math.nan)
                     continue
-                col = by_name[name]
                 try:
-                    code = col.code_of(cell)
+                    append(decode(cell))
                 except KeyError:
-                    raise BadCellError(r, name, cell, f"not in levels {list(col.levels)}") from None
+                    raise BadCellError(r, col.name, cell, f"not in levels {list(col.levels)}") from None
                 except ValueError:
-                    raise BadCellError(r, name, cell, "not a number") from None
-                data[name].append(code)
+                    raise BadCellError(r, col.name, cell, "not a number") from None
     if not data[want[0]]:
         raise SchemaMismatchError(f"{path}: no data rows")
     return Dataset(schema, {k: np.asarray(v) for k, v in data.items()})

@@ -81,7 +81,11 @@ def mixed_ci_test(view: DatasetView) -> CITest:
 
     Pairs with an all-categorical scope use the likelihood-ratio G^2 test;
     any scope touching a continuous column falls back to the Fisher-z
-    partial-correlation test on numeric-coded data.
+    partial-correlation test on numeric-coded data. The work shared by all
+    tests on the view is done once: the view decodes its categorical
+    columns to int64 codes on the first G^2 test, and the correlation
+    matrix is built on the first Fisher-z test. Both kernels are looked up
+    as attributes of this module at each call.
     """
     categorical = {c: view.schema_for(c).is_categorical for c in view.columns}
     state: dict[str, object] = {}

@@ -100,3 +100,9 @@ class TooFewRowsError(CausalTabError):
 
 class ExhaustedDrawsError(CausalTabError):
     """Could not draw a feature set matching the target row count."""
+
+
+# --- pipeline -------------------------------------------------------------
+
+class NoFeatureError(CausalTabError):
+    """A pipeline step was left with no feature to analyse."""

@@ -20,7 +20,7 @@ import numpy as np
 from .data import KIND_BINARY, OUTCOME_CATEGORY, Dataset, DatasetView, complete_cases, summarize
 from .discovery import CITest, LearnConfig, run_fci
 from .effects import annotate_strengths, effect_table
-from .errors import CausalTabError
+from .errors import CausalTabError, NoFeatureError
 from .graph import MixedGraph, PriorKnowledge, neighbors_within, to_dot
 from .stats import (
     ContingencyTable2x2,
@@ -353,11 +353,15 @@ def step2_integrated(
 ) -> Step2Result:
     """Joint re-analysis of the selected features plus the interpretable tree."""
     if not selected:
-        raise CausalTabError("step 2 needs a non-empty selected feature set")
+        raise NoFeatureError("step 2 needs a non-empty selected feature set")
     outcome = _resolve_outcome(dataset, config)
     view, dropped = _analysis_view(dataset, selected, outcome)
     if outcome not in view.columns:
         raise CausalTabError("outcome is constant on the joint complete cases")
+    if len(view.columns) == 1:
+        raise NoFeatureError(
+            f"every selected feature is constant on the joint complete cases: {', '.join(dropped)}"
+        )
     fci = run_fci(view, config.learn_config(), _prior_for(config.prior, view.columns), ci_test)
     effects = tuple(effect_table(view, fci.graph, outcome))
     graph = annotate_strengths(fci.graph, effects)
@@ -387,7 +391,7 @@ def step3_predictive(
 ) -> Step3Result:
     """CV of the causal features versus the random-feature permutation baseline."""
     if not tree_feats:
-        raise CausalTabError("the step-2 tree uses no feature")
+        raise NoFeatureError("the step-2 tree uses no feature")
     outcome = _resolve_outcome(dataset, config)
     view = complete_cases(dataset, [*tree_feats, outcome])
     cv = kfold_cv(
@@ -434,7 +438,9 @@ def run_full(
 ) -> PipelineReport:
     """Steps 1 to 3, skipping steps 2 and 3 when step 1 selects no feature.
 
-    Step 3 is also skipped when the step-2 tree uses no feature.
+    Steps 2 and 3 are also skipped when every selected feature is constant
+    on the rows where all of them are observed, and step 3 alone when the
+    step-2 tree uses no feature.
 
     ``ci_test`` replaces the per-view mixed CI test of every graph search,
     e.g. ``oracle_ci_test(dag)`` for validation runs.
@@ -443,9 +449,12 @@ def run_full(
     step1 = step1_per_category(dataset, config, ci_test)
     step2 = step3 = None
     if step1.selected_features:
-        step2 = step2_integrated(dataset, step1.selected_features, config, ci_test)
-        if step2.tree_features:
-            step3 = step3_predictive(dataset, step2.tree_features, config)
+        try:
+            step2 = step2_integrated(dataset, step1.selected_features, config, ci_test)
+        except NoFeatureError:
+            pass  # every selected feature is constant on their joint complete cases
+    if step2 is not None and step2.tree_features:
+        step3 = step3_predictive(dataset, step2.tree_features, config)
     return PipelineReport(
         config=config,
         outcome=outcome,

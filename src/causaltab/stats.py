@@ -93,7 +93,7 @@ def partial_correlation(corr: np.ndarray, i: int, j: int, given: Sequence[int]) 
     if not given:
         return float(corr[i, j])
     idx = [i, j, *given]
-    sub = corr[np.ix_(idx, idx)]
+    sub = corr[idx][:, idx]
     try:
         inv = np.linalg.inv(sub)
     except np.linalg.LinAlgError:
@@ -141,16 +141,12 @@ def fisher_z_ci_test(
     return fisher_z_from_correlation(corr, m.n_rows, 0, 1, list(range(2, len(cols))))
 
 
-def g_squared_test(
-    x: str, y: str, given: Sequence[str], view: DatasetView
-) -> TestResult:
-    """Likelihood-ratio (G^2) independence test for categorical columns.
+def _checked_codes(names: Sequence[str], view: DatasetView) -> list[tuple[np.ndarray, int]]:
+    """Codes and level counts of ``names``, raising on the first column unfit for G^2.
 
-    G^2 = 2 * sum O*ln(O/E) over the x-by-y cells within each configuration
-    of ``given``; zero-observed cells contribute 0. Degrees of freedom are
-    (|x|-1)(|y|-1)*prod(|s|): empty strata are skipped without reducing dof.
+    Columns are checked for kind first, then for view membership, then for
+    missing cells.
     """
-    names = [x, y, *given]
     schemas = []
     for name in names:
         sch = view.schema_for(name)
@@ -161,16 +157,39 @@ def g_squared_test(
     for name, arr in zip(names, cols):
         if np.isnan(arr).any():
             raise IncompleteViewError(f"column {name!r} has missing cells in this view")
-    codes = [arr.astype(np.int64) for arr in cols]
-    kx, ky = schemas[0].n_levels, schemas[1].n_levels
-    ks = [s.n_levels for s in schemas[2:]]
+    return [(arr.astype(np.int64), sch.n_levels) for arr, sch in zip(cols, schemas)]
 
-    strata = np.zeros(codes[0].shape[0], dtype=np.int64)
-    n_strata = 1
-    for c, k in zip(codes[2:], ks):
-        strata = strata * k + c
-        n_strata *= k
-    flat = (strata * kx + codes[0]) * ky + codes[1]
+
+def g_squared_test(
+    x: str, y: str, given: Sequence[str], view: DatasetView
+) -> TestResult:
+    """Likelihood-ratio (G^2) independence test for categorical columns.
+
+    G^2 = 2 * sum O*ln(O/E) over the x-by-y cells within each configuration
+    of ``given``; zero-observed cells contribute 0. Degrees of freedom are
+    (|x|-1)(|y|-1)*prod(|s|): empty strata are skipped without reducing dof.
+
+    Codes come from ``view.categorical_codes``, decoded once per view, so a
+    call only builds and scores the table. A column missing from that
+    mapping (continuous, incomplete or outside the view) raises
+    NotCategoricalError, UnknownColumnError or IncompleteViewError.
+    """
+    names = [x, y, *given]
+    decoded = view.categorical_codes
+    try:
+        columns = [decoded[name] for name in names]
+    except KeyError:
+        columns = _checked_codes(names, view)
+    (cx, kx), (cy, ky) = columns[0], columns[1]
+
+    # mixed-radix cell index (stratum, x, y), stratum digits in ``given`` order
+    flat = cx * ky + cy
+    if given:
+        strata = columns[2][0]
+        for c, k in columns[3:]:
+            strata = strata * k + c
+        flat = strata * (kx * ky) + flat
+    n_strata = math.prod(k for _, k in columns[2:])
     table = np.bincount(flat, minlength=n_strata * kx * ky).reshape(n_strata, kx, ky)
 
     totals = table.sum(axis=(1, 2), keepdims=True).astype(float)
@@ -179,8 +198,10 @@ def g_squared_test(
     with np.errstate(divide="ignore", invalid="ignore"):
         expected = row * col / totals
         terms = np.where(table > 0, table * np.log(table / expected), 0.0)
-    g2 = max(0.0, 2.0 * float(np.nansum(terms)))
-    dof = (kx - 1) * (ky - 1) * int(np.prod(ks)) if ks else (kx - 1) * (ky - 1)
+    # terms holds no NaN (a non-empty cell has positive margins), so this is
+    # the pairwise sum np.nansum would take
+    g2 = max(0.0, 2.0 * float(terms.sum()))
+    dof = (kx - 1) * (ky - 1) * n_strata
     return TestResult(statistic=g2, p_value=min(chisq_sf(g2, dof), 1.0), dof=float(dof))
 
 

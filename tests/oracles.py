@@ -279,6 +279,51 @@ def reference_fit_tree(view, features, outcome: str, max_depth: int):
     return grow(np.arange(X.shape[0]), 1)
 
 
+def reference_g_squared_test(x: str, y: str, given, view):
+    """The G^2 test as written before codes were decoded once per view.
+
+    Every call looks up each column's schema, gathers the column from the
+    view, scans it for missing cells and casts it, then scores the table;
+    ``g_squared_test`` must return the same statistic, p-value and dof and
+    raise the same errors.
+    """
+    from causaltab.errors import IncompleteViewError, NotCategoricalError
+    from causaltab.stats import TestResult, chisq_sf
+
+    names = [x, y, *given]
+    schemas = []
+    for name in names:
+        sch = view.schema_for(name)
+        if not sch.is_categorical:
+            raise NotCategoricalError(f"column {name!r} is {sch.kind}, not categorical")
+        schemas.append(sch)
+    cols = [view.coded(name) for name in names]
+    for name, arr in zip(names, cols):
+        if np.isnan(arr).any():
+            raise IncompleteViewError(f"column {name!r} has missing cells in this view")
+    codes = [arr.astype(np.int64) for arr in cols]
+    kx, ky = schemas[0].n_levels, schemas[1].n_levels
+    ks = [s.n_levels for s in schemas[2:]]
+
+    strata = np.zeros(codes[0].shape[0], dtype=np.int64)
+    n_strata = 1
+    for c, k in zip(codes[2:], ks):
+        strata = strata * k + c
+        n_strata *= k
+    flat = (strata * kx + codes[0]) * ky + codes[1]
+    table = np.bincount(flat, minlength=n_strata * kx * ky).reshape(n_strata, kx, ky)
+
+    totals = table.sum(axis=(1, 2), keepdims=True).astype(float)
+    row = table.sum(axis=2, keepdims=True).astype(float)
+    col = table.sum(axis=1, keepdims=True).astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = row * col / totals
+        terms = np.where(table > 0, table * np.log(table / expected), 0.0)
+    g2 = max(0.0, 2.0 * float(np.nansum(terms)))
+    dof = (kx - 1) * (ky - 1) * int(np.prod(ks)) if ks else (kx - 1) * (ky - 1)
+    return TestResult(statistic=g2, p_value=min(chisq_sf(g2, dof), 1.0), dof=float(dof))
+
+
 # -- CPDAG construction by equivalence-class grouping ----------------------------------
 
 def group_dags_by_class(names: list[str]):

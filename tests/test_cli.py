@@ -155,20 +155,32 @@ def test_config_file_with_unknown_key_exits_nonzero(cohort_dir, tmp_path, capsys
     assert "alpah" in str(exc.value.code)
 
 
-def test_step3_from_a_step2_tree_without_features_exits_nonzero(cohort_dir, tmp_path):
+def _step3_without_tree_features(cohort_dir, tmp_path):
+    """``causaltab step3`` on a step-2 tree with no feature, in a fresh interpreter."""
     step2 = tmp_path / "step2.json"
     step2.write_text(json.dumps({"tree_features": []}))
     src = str(Path(causaltab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "causaltab.cli", "step3", *_data_args(cohort_dir),
          "--from-step2", str(step2), "--permutation-trials", "3", "--out", str(tmp_path / "s3")],
         capture_output=True, text=True, env=env,
     )
+
+
+def test_step3_from_a_step2_tree_without_features_exits_nonzero(cohort_dir, tmp_path):
+    proc = _step3_without_tree_features(cohort_dir, tmp_path)
     assert proc.returncode != 0
     assert "the step-2 tree uses no feature" in proc.stderr
     assert not (tmp_path / "s3" / "step3.json").exists()
+
+
+def test_step_error_exits_with_one_line_message(cohort_dir, tmp_path):
+    proc = _step3_without_tree_features(cohort_dir, tmp_path)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["causaltab: the step-2 tree uses no feature"]
 
 
 def test_run_with_no_selected_feature_writes_step1_report(tmp_path):

@@ -55,7 +55,7 @@ class TestSchema:
     def test_levels_normalized_from_ints(self):
         col = ColumnSchema("X", "binary", "c", levels=(0, 1))
         assert col.levels == ("0", "1")
-        assert col.code_of("1") == 1.0
+        assert col.levels.index("1") == 1
         assert col.label_of(0.0) == "0"
 
 

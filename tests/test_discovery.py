@@ -359,3 +359,29 @@ def test_run_fci_wires_stages_together():
     res = run_fci(ds.view(), LearnConfig())
     assert edge_set(res.graph) == {frozenset("XZ"), frozenset("ZY")}
     assert res.tests_run >= res.skeleton.tests_run
+
+
+def test_mixed_ci_test_calls_each_kernel_through_the_module(monkeypatch):
+    # the benchmark's tracer counts CI-test kernels by wrapping these two
+    # module attributes; every CI test must make exactly one such call
+    from causaltab.data import complete_cases
+    from causaltab.synth import make_clinical_synth
+
+    calls = {"g2": 0, "fisher_z": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(discovery, "g_squared_test", counted("g2", discovery.g_squared_test))
+    monkeypatch.setattr(
+        discovery, "fisher_z_from_correlation",
+        counted("fisher_z", discovery.fisher_z_from_correlation),
+    )
+    ds, _ = make_clinical_synth(1)
+    view = complete_cases(ds, ds.column_names)
+    res = run_fci(view, LearnConfig(do_possible_dsep=True))
+    assert calls["g2"] > 0 and calls["fisher_z"] > 0
+    assert calls["g2"] + calls["fisher_z"] == res.tests_run

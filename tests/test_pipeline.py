@@ -42,6 +42,28 @@ def step2(cohort, step1):
     return step2_integrated(ds, step1.selected_features, QUIET)
 
 
+def constant_together_table() -> Dataset:
+    """300 rows on which features A and B are both constant where both are observed.
+
+    A is observed on rows 0-99 and 200-299, B on rows 100-299. Each copies
+    the outcome where only it is observed, and A = B = 0 on rows 200-299.
+    A and B sit in different categories, so step 1 selects both.
+    """
+    rng = np.random.default_rng(0)
+    outcome = rng.integers(0, 2, size=300).astype(float)
+    a = np.full(300, np.nan)
+    b = np.full(300, np.nan)
+    a[:100] = outcome[:100]
+    b[100:200] = outcome[100:200]
+    a[200:] = b[200:] = 0.0
+    schema = [
+        ColumnSchema("A", "binary", "history", levels=("0", "1")),
+        ColumnSchema("B", "binary", "labs", levels=("0", "1")),
+        ColumnSchema("OUTCOME", "binary", "outcome", levels=("0", "1")),
+    ]
+    return Dataset(schema, {"A": a, "B": b, "OUTCOME": outcome})
+
+
 class TestStep1:
     def test_selection_contains_truth_features_across_seeds(self):
         hits = 0
@@ -170,6 +192,11 @@ class TestStep2:
         with pytest.raises(CausalTabError):
             step2_integrated(ds, [], QUIET)
 
+    def test_features_constant_together_rejected_by_name(self):
+        ds = constant_together_table()
+        with pytest.raises(CausalTabError, match="constant on the joint complete cases: A, B"):
+            step2_integrated(ds, ["A", "B"], QUIET)
+
 
 class TestStep3:
     def test_comparison_and_quantile(self, cohort, step2):
@@ -244,6 +271,15 @@ class TestFullRun:
         assert "step3" not in payload
         assert (tmp_path / "tree.dot").exists()
         assert not (tmp_path / "permutation_histogram.csv").exists()
+
+    def test_features_constant_together_write_step1_report(self, tmp_path):
+        ds = constant_together_table()
+        report = run_full(ds, QUIET)
+        assert report.step1.selected_features == ("A", "B")
+        assert report.step2 is None and report.step3 is None
+        write_report(report, tmp_path, ds)
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert set(payload) == {"config", "outcome", "summary", "step1"}
 
     def test_report_metrics_rederive_and_files_write(self, cohort, tmp_path):
         ds, _ = cohort

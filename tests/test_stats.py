@@ -4,12 +4,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from causaltab.data import ColumnSchema, Dataset, standardize
+from causaltab.data import ColumnSchema, Dataset, complete_cases, standardize
 from causaltab.errors import (
     DegenerateGroupError,
     DomainError,
+    IncompleteViewError,
+    NotCategoricalError,
     RankDeficientError,
     SingularCorrelationError,
+    UnknownColumnError,
     ZeroBaseError,
     ZeroVarianceError,
 )
@@ -24,7 +27,7 @@ from causaltab.stats import (
     point_biserial,
 )
 
-from oracles import fisher_exact_fraction, pearson_r
+from oracles import fisher_exact_fraction, pearson_r, reference_g_squared_test
 
 mp.mp.dps = 30
 
@@ -208,6 +211,116 @@ class TestGSquared:
         ds = Dataset(schema, {"x": x, "y": x + 0.5})
         with pytest.raises(NotCategoricalError):
             g_squared_test("x", "y", (), ds.view())
+
+
+def _raised(call):
+    """(type, message) of the error ``call`` raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestGSquaredMatchesReference:
+    """The per-view decoded codes give the per-call decoder's exact answers."""
+
+    def test_seeded_tables_match_reference(self):
+        rng = np.random.default_rng(606)
+        empty_strata = empty_margins = 0
+        for draw in range(400):
+            n = int(rng.integers(5, 301))
+            n_given = draw % 4
+            names = ["x", "y", *(f"s{i}" for i in range(n_given))]
+            schema, columns = [], {}
+            for name in names:
+                k = int(rng.integers(2, 4))
+                schema.append(ColumnSchema(
+                    name, "binary" if k == 2 else "ordinal", "c",
+                    levels=tuple(str(i) for i in range(k)),
+                ))
+                # skewed level weights leave levels, and so strata and
+                # margins, empty in small tables
+                weights = rng.dirichlet(np.full(k, 0.4))
+                columns[name] = rng.choice(k, size=n, p=weights).astype(float)
+            # a column with missing cells makes the view a row subset
+            pad = rng.random(n)
+            pad[rng.random(n) < 0.2] = np.nan
+            schema.append(ColumnSchema("pad", "continuous", "c"))
+            columns["pad"] = pad
+            ds = Dataset(schema, columns)
+            view = complete_cases(ds, [*names, "pad"])
+            if view.n_rows < 2:
+                continue
+            given = tuple(names[2:])
+            got = g_squared_test("x", "y", given, view)
+            want = reference_g_squared_test("x", "y", given, view)
+            assert got.statistic == want.statistic, draw
+            assert got.p_value == want.p_value, draw
+            assert got.dof == want.dof, draw
+
+            codes = {c: view.coded(c).astype(int) for c in names}
+            levels = {c: sch.n_levels for c, sch in zip(names, schema)}
+            strata = {tuple(codes[c][r] for c in given) for r in range(view.n_rows)}
+            n_strata = int(np.prod([levels[c] for c in given])) if given else 1
+            empty_strata += len(strata) < n_strata
+            empty_margins += any(
+                np.bincount(codes[c], minlength=levels[c]).min() == 0 for c in ("x", "y")
+            )
+        assert empty_strata > 0 and empty_margins > 0
+
+    def test_decoded_once_per_view(self):
+        rng = np.random.default_rng(7)
+        view = categorical_view({c: rng.integers(0, 2, 50).astype(float) for c in "xyz"})
+        decoded = view.categorical_codes
+        assert view.categorical_codes is decoded
+        assert set(decoded) == {"x", "y", "z"}
+        codes, k = decoded["x"]
+        assert codes.dtype == np.int64 and k == 2 and not codes.flags.writeable
+        g_squared_test("x", "y", ("z",), view)
+        assert view.categorical_codes is decoded
+
+    @pytest.fixture()
+    def mixed_view(self):
+        rng = np.random.default_rng(8)
+        schema = [
+            ColumnSchema("a", "binary", "c", levels=("0", "1")),
+            ColumnSchema("b", "ordinal", "c", levels=("0", "1", "2")),
+            ColumnSchema("hole", "binary", "c", levels=("0", "1")),
+            ColumnSchema("lab", "continuous", "c"),
+            ColumnSchema("out", "binary", "c", levels=("0", "1")),
+        ]
+        hole = rng.integers(0, 2, 60).astype(float)
+        hole[5] = np.nan
+        ds = Dataset(schema, {
+            "a": rng.integers(0, 2, 60).astype(float),
+            "b": rng.integers(0, 3, 60).astype(float),
+            "hole": hole,
+            "lab": rng.random(60),
+            "out": rng.integers(0, 2, 60).astype(float),
+        })
+        view = ds.view(["a", "b", "hole", "lab"])
+        assert set(view.categorical_codes) == {"a", "b"}
+        return view
+
+    @pytest.mark.parametrize(
+        "x, y, given, error",
+        [
+            ("lab", "a", (), NotCategoricalError),
+            ("a", "lab", (), NotCategoricalError),
+            ("a", "b", ("lab",), NotCategoricalError),
+            ("hole", "a", (), IncompleteViewError),
+            ("a", "b", ("hole",), IncompleteViewError),
+            ("a", "out", (), UnknownColumnError),
+            ("a", "b", ("nowhere",), UnknownColumnError),
+            # kind is checked before view membership, membership before
+            # missing cells
+            ("out", "lab", (), NotCategoricalError),
+            ("hole", "out", (), UnknownColumnError),
+        ],
+    )
+    def test_errors_match_reference(self, mixed_view, x, y, given, error):
+        got = _raised(lambda: g_squared_test(x, y, given, mixed_view))
+        assert got[0] is error
+        assert got == _raised(lambda: reference_g_squared_test(x, y, given, mixed_view))
 
 
 class TestFisherExact:
