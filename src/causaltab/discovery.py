@@ -86,9 +86,20 @@ def mixed_ci_test(view: DatasetView) -> CITest:
     columns to int64 codes on the first G^2 test, and the correlation
     matrix is built on the first Fisher-z test. Both kernels are looked up
     as attributes of this module at each call.
+
+    The returned test is memoized: it keeps each p-value under its query
+    (x, y, given), so a query asked again, as the possible-d-sep stage
+    asks many the skeleton search already answered, calls no kernel. The
+    memo belongs to the returned closure, so it lasts as long as the test
+    (one ``run_fci`` on one view) and is never shared between views. The
+    key keeps x and y in the order asked: swapping them permutes the
+    correlation submatrix and the G^2 table, which can change the p-value
+    in its last bits. A query that raises stores nothing and raises again
+    when repeated.
     """
     categorical = {c: view.schema_for(c).is_categorical for c in view.columns}
     state: dict[str, object] = {}
+    answered: dict[tuple[str, str, tuple[str, ...]], float] = {}
 
     def _corr() -> tuple[np.ndarray, dict[str, int]]:
         if "corr" not in state:
@@ -97,7 +108,7 @@ def mixed_ci_test(view: DatasetView) -> CITest:
             state["index"] = {c: i for i, c in enumerate(std.columns)}
         return state["corr"], state["index"]  # type: ignore[return-value]
 
-    def test(x: str, y: str, given: tuple[str, ...]) -> float:
+    def p_value(x: str, y: str, given: tuple[str, ...]) -> float:
         if categorical[x] and categorical[y] and all(categorical[s] for s in given):
             return g_squared_test(x, y, given, view).p_value
         corr, index = _corr()
@@ -105,6 +116,13 @@ def mixed_ci_test(view: DatasetView) -> CITest:
             corr, view.n_rows, index[x], index[y], [index[s] for s in given]
         )
         return res.p_value
+
+    def test(x: str, y: str, given: tuple[str, ...]) -> float:
+        key = (x, y, given)
+        p = answered.get(key)
+        if p is None:
+            p = answered[key] = p_value(x, y, given)
+        return p
 
     return test
 
@@ -473,7 +491,8 @@ def run_fci(
     """Full constraint-based run: skeleton, v-structures, pd-sep stage, rules.
 
     Both search stages share one CI test, so the default test standardizes
-    the view once.
+    the view once and answers a query the pd-sep stage repeats from its
+    memo.
     """
     config = config or LearnConfig()
     ci = ci_test or mixed_ci_test(view)

@@ -436,23 +436,23 @@ def _reachable(
     return reach
 
 
-def d_separated(dag: MixedGraph, x: str, y: str, s: Iterable[str] = ()) -> bool:
-    """Exact d-separation of x and y given s in a fully directed acyclic graph."""
-    parents, children = _directed_maps(dag)
-    topological_order(dag)
-    for name in (x, y, *s):
-        if not dag.has_node(name):
-            raise UnknownNodeError(f"unknown node {name!r}")
-    return y not in _reachable(x, frozenset(s), parents, children)
-
-
 def d_separation_tester(dag: MixedGraph) -> Callable[[str, str, Iterable[str]], bool]:
-    """Closure answering d-separation queries with the DAG maps precomputed."""
+    """Closure answering d-separation queries with the DAG maps precomputed.
+
+    The set of nodes d-connected to x given s is kept under (x, s) for the
+    life of the closure, so queries that differ only in y share one
+    reachability search.
+    """
     parents, children = _directed_maps(dag)
     topological_order(dag)
+    reachable: dict[tuple[str, frozenset[str]], set[str]] = {}
 
     def tester(x: str, y: str, s: Iterable[str] = ()) -> bool:
-        return y not in _reachable(x, frozenset(s), parents, children)
+        key = (x, frozenset(s))
+        reach = reachable.get(key)
+        if reach is None:
+            reach = reachable[key] = _reachable(x, key[1], parents, children)
+        return y not in reach
 
     return tester
 

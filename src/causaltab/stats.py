@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaincc, stdtr
 
-from .data import DatasetView, StandardizedMatrix
+from .data import DatasetView
 from .errors import (
     DegenerateGroupError,
     DomainError,
@@ -31,7 +31,6 @@ __all__ = [
     "ContingencyTable2x2",
     "FoldIncrease",
     "chisq_sf",
-    "fisher_z_ci_test",
     "fisher_z_from_correlation",
     "partial_correlation",
     "g_squared_test",
@@ -121,24 +120,6 @@ def fisher_z_from_correlation(
     # 2*(1 - Phi(|stat|)) evaluated as erfc for precision in the far tail
     p = math.erfc(abs(stat) / math.sqrt(2.0))
     return TestResult(statistic=stat, p_value=min(p, 1.0), dof=float(n - k - 3), effect=rho)
-
-
-def fisher_z_ci_test(
-    x: str,
-    y: str,
-    given: Sequence[str],
-    m: StandardizedMatrix,
-) -> TestResult:
-    """Gaussian conditional-independence test of x against y given a column set.
-
-    The partial correlation is obtained by inverting the correlation
-    submatrix of (x, y, given); the statistic is sqrt(n-|S|-3)*atanh(rho).
-    """
-    cols = [m.index(x), m.index(y)] + [m.index(s) for s in given]
-    sub = m.matrix[:, cols]
-    corr = np.corrcoef(sub, rowvar=False)
-    corr = np.atleast_2d(corr)
-    return fisher_z_from_correlation(corr, m.n_rows, 0, 1, list(range(2, len(cols))))
 
 
 def _checked_codes(names: Sequence[str], view: DatasetView) -> list[tuple[np.ndarray, int]]:

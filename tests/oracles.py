@@ -3,7 +3,10 @@
 Everything here is deliberately written against the definitions rather
 than the package's code paths: exact Fraction arithmetic, exhaustive
 enumeration and brute-force searches, so tests compare two independent
-routes to each answer.
+routes to each answer. The ``reference_*`` functions keep earlier
+versions of library code verbatim, so tests can require the optimized
+code to give equal answers. ``d_separated`` and ``fisher_z_ci_test`` are
+single-query entry points over library kernels that only tests call.
 """
 
 from __future__ import annotations
@@ -111,6 +114,23 @@ def dsep_by_paths(edges, nodes, x, y, s) -> bool:
             if nb not in path:
                 stack.append((nb, path + [nb]))
     return True
+
+
+def d_separated(dag, x: str, y: str, s=()) -> bool:
+    """Exact d-separation of x and y given s in a fully directed acyclic graph.
+
+    Each call rebuilds the DAG maps and runs its own reachability search,
+    with no state kept between queries.
+    """
+    from causaltab.errors import UnknownNodeError
+    from causaltab.graph import _directed_maps, _reachable, topological_order
+
+    parents, children = _directed_maps(dag)
+    topological_order(dag)
+    for name in (x, y, *s):
+        if not dag.has_node(name):
+            raise UnknownNodeError(f"unknown node {name!r}")
+    return y not in _reachable(x, frozenset(s), parents, children)
 
 
 # -- exact Fisher test ------------------------------------------------------------
@@ -279,6 +299,8 @@ def reference_fit_tree(view, features, outcome: str, max_depth: int):
     return grow(np.arange(X.shape[0]), 1)
 
 
+# -- conditional-independence tests ----------------------------------------------------
+
 def reference_g_squared_test(x: str, y: str, given, view):
     """The G^2 test as written before codes were decoded once per view.
 
@@ -322,6 +344,53 @@ def reference_g_squared_test(x: str, y: str, given, view):
     g2 = max(0.0, 2.0 * float(np.nansum(terms)))
     dof = (kx - 1) * (ky - 1) * int(np.prod(ks)) if ks else (kx - 1) * (ky - 1)
     return TestResult(statistic=g2, p_value=min(chisq_sf(g2, dof), 1.0), dof=float(dof))
+
+
+def fisher_z_ci_test(x: str, y: str, given, m):
+    """Gaussian conditional-independence test of x against y given a column set.
+
+    ``m`` is a ``StandardizedMatrix``. The partial correlation is obtained
+    by inverting the correlation submatrix of (x, y, given); the statistic
+    is sqrt(n-|S|-3)*atanh(rho).
+    """
+    from causaltab.stats import fisher_z_from_correlation
+
+    cols = [m.index(x), m.index(y)] + [m.index(s) for s in given]
+    sub = m.matrix[:, cols]
+    corr = np.corrcoef(sub, rowvar=False)
+    corr = np.atleast_2d(corr)
+    return fisher_z_from_correlation(corr, m.n_rows, 0, 1, list(range(2, len(cols))))
+
+
+def reference_mixed_ci_test(view):
+    """The kind-dispatching CI test as written before its answers were memoized.
+
+    Every query runs its kernel; ``discovery.mixed_ci_test`` must return
+    the same p-value for every query and raise the same errors.
+    """
+    from causaltab.data import standardize
+    from causaltab.stats import fisher_z_from_correlation, g_squared_test
+
+    categorical = {c: view.schema_for(c).is_categorical for c in view.columns}
+    state: dict[str, object] = {}
+
+    def _corr() -> tuple[np.ndarray, dict[str, int]]:
+        if "corr" not in state:
+            std = standardize(view)
+            state["corr"] = np.corrcoef(std.matrix, rowvar=False)
+            state["index"] = {c: i for i, c in enumerate(std.columns)}
+        return state["corr"], state["index"]  # type: ignore[return-value]
+
+    def test(x: str, y: str, given: tuple[str, ...]) -> float:
+        if categorical[x] and categorical[y] and all(categorical[s] for s in given):
+            return g_squared_test(x, y, given, view).p_value
+        corr, index = _corr()
+        res = fisher_z_from_correlation(
+            corr, view.n_rows, index[x], index[y], [index[s] for s in given]
+        )
+        return res.p_value
+
+    return test
 
 
 # -- CPDAG construction by equivalence-class grouping ----------------------------------

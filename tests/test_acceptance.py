@@ -25,7 +25,6 @@ from causaltab.pipeline import PipelineConfig, run_full
 from causaltab.stats import (
     ContingencyTable2x2,
     fisher_exact,
-    fisher_z_ci_test,
     fold_increase,
     g_squared_test,
     point_biserial,
@@ -38,6 +37,7 @@ from oracles import (
     cpdag_of_class,
     dag_vstructures,
     enumerate_dags,
+    fisher_z_ci_test,
     group_dags_by_class,
     parent_sets_of_class,
     pearson_r,

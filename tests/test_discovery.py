@@ -1,10 +1,12 @@
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from causaltab import discovery
-from causaltab.data import ColumnSchema, Dataset
+from causaltab.data import ColumnSchema, Dataset, DatasetView, complete_cases
 from causaltab.discovery import (
     LearnConfig,
     apply_orientation_rules,
@@ -15,7 +17,7 @@ from causaltab.discovery import (
     possible_dsep_set,
     run_fci,
 )
-from causaltab.errors import IncompleteViewError
+from causaltab.errors import IncompleteViewError, SingularCorrelationError
 from causaltab.graph import (
     ARROW,
     CIRCLE,
@@ -25,9 +27,11 @@ from causaltab.graph import (
     SepSetStore,
     d_separation_tester,
 )
-from causaltab.synth import sample_sem, sem_from_edges
+from causaltab.synth import make_clinical_synth, sample_sem, sem_from_edges
 
-from oracles import dag_vstructures, enumerate_dags
+from oracles import dag_vstructures, enumerate_dags, reference_mixed_ci_test
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def chain_dataset(seed, n=5000):
@@ -361,12 +365,24 @@ def test_run_fci_wires_stages_together():
     assert res.tests_run >= res.skeleton.tests_run
 
 
-def test_mixed_ci_test_calls_each_kernel_through_the_module(monkeypatch):
-    # the benchmark's tracer counts CI-test kernels by wrapping these two
-    # module attributes; every CI test must make exactly one such call
-    from causaltab.data import complete_cases
-    from causaltab.synth import make_clinical_synth
+def seed1_cohort_view():
+    ds, _ = make_clinical_synth(1)
+    return complete_cases(ds, ds.column_names)
 
+
+def wide_category_view(category):
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        from wide_table import OUTCOME, make_wide_table
+    finally:
+        sys.path.remove(str(REPO / "perfbench"))
+    ds = Dataset(*make_wide_table(1))
+    cols = [c.name for c in ds.schema if c.category == category]
+    return complete_cases(ds, [*cols, OUTCOME])
+
+
+def count_kernel_calls(monkeypatch):
+    """Count calls to both CI kernels at the module attributes the tracer wraps."""
     calls = {"g2": 0, "fisher_z": 0}
 
     def counted(key, fn):
@@ -380,8 +396,92 @@ def test_mixed_ci_test_calls_each_kernel_through_the_module(monkeypatch):
         discovery, "fisher_z_from_correlation",
         counted("fisher_z", discovery.fisher_z_from_correlation),
     )
-    ds, _ = make_clinical_synth(1)
-    view = complete_cases(ds, ds.column_names)
-    res = run_fci(view, LearnConfig(do_possible_dsep=True))
+    return calls
+
+
+def recording(test):
+    """``test`` plus the list of ((x, y, given), p-value) answers it gave."""
+    answers = []
+
+    def recorded(x, y, given):
+        p = test(x, y, given)
+        answers.append(((x, y, given), p))
+        return p
+
+    return recorded, answers
+
+
+def test_mixed_ci_test_calls_each_kernel_through_the_module(monkeypatch):
+    # the benchmark's tracer counts CI queries by wrapping the closure and
+    # kernel runs by wrapping these two module attributes; the closure
+    # answers a repeated query from its memo, so kernels run once per
+    # distinct query while every query still counts in tests_run
+    calls = count_kernel_calls(monkeypatch)
+    queries = []
+    factory = discovery.mixed_ci_test
+
+    def recording_factory(view):
+        test = factory(view)
+
+        def recorded(x, y, given):
+            queries.append((x, y, given))
+            return test(x, y, given)
+
+        return recorded
+
+    monkeypatch.setattr(discovery, "mixed_ci_test", recording_factory)
+    res = run_fci(seed1_cohort_view(), LearnConfig(do_possible_dsep=True))
     assert calls["g2"] > 0 and calls["fisher_z"] > 0
-    assert calls["g2"] + calls["fisher_z"] == res.tests_run
+    assert len(set(queries)) < len(queries)  # pd-sep repeats skeleton queries
+    assert calls["g2"] + calls["fisher_z"] == len(set(queries))
+    assert res.tests_run == len(queries)
+
+
+class TestMemoizedCiTest:
+    @pytest.mark.parametrize("source", ["seed1_cohort", "wide_history"])
+    def test_same_answers_as_the_reference(self, source):
+        view = seed1_cohort_view() if source == "seed1_cohort" else wide_category_view("history")
+        config = LearnConfig(do_possible_dsep=True)
+        memo_test, memo_answers = recording(discovery.mixed_ci_test(view))
+        ref_test, ref_answers = recording(reference_mixed_ci_test(view))
+        got = run_fci(view, config, ci_test=memo_test)
+        want = run_fci(view, config, ci_test=ref_test)
+        assert got.graph.to_json_dict() == want.graph.to_json_dict()
+        assert got.sepsets.to_json_dict() == want.sepsets.to_json_dict()
+        assert got.tests_run == want.tests_run == len(memo_answers)
+        assert len({q for q, _ in memo_answers}) < len(memo_answers)
+        # same queries in the same order, each p-value equal with ==
+        assert memo_answers == ref_answers
+
+    def test_raising_query_raises_again_and_reruns_the_kernel(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal(200), rng.standard_normal(200)
+        ds = Dataset(
+            [ColumnSchema(n, "continuous", "c") for n in ("a", "b", "a_copy")],
+            {"a": a, "b": b, "a_copy": a.copy()},
+        )
+        calls = count_kernel_calls(monkeypatch)
+        test = discovery.mixed_ci_test(ds.view())
+        for attempt in (1, 2):
+            with pytest.raises(SingularCorrelationError):
+                test("a", "b", ("a_copy",))
+            assert calls["fisher_z"] == attempt
+        assert test("a", "b", ()) == reference_mixed_ci_test(ds.view())("a", "b", ())
+
+    def test_closures_on_two_views_share_no_answers(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal(400)
+        ds = Dataset(
+            [ColumnSchema(n, "continuous", "c") for n in ("a", "b")],
+            {"a": a, "b": a + rng.standard_normal(400)},
+        )
+        halves = [
+            DatasetView(ds, ("a", "b"), rows)
+            for rows in (np.arange(0, 400, 2), np.arange(1, 400, 2))
+        ]
+        calls = count_kernel_calls(monkeypatch)
+        tests = [discovery.mixed_ci_test(half) for half in halves]
+        got = [t("a", "b", ()) for t in tests]
+        assert calls["fisher_z"] == 2
+        assert got == [reference_mixed_ci_test(half)("a", "b", ()) for half in halves]
+        assert got[0] != got[1]

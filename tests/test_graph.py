@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,12 @@ from causaltab.graph import (
     MixedGraph,
     PriorKnowledge,
     SepSetStore,
+    d_separation_tester,
     neighbors_within,
     to_dot,
 )
 
-from oracles import bfs_within, parse_dot
+from oracles import bfs_within, d_separated, enumerate_dags, parse_dot
 
 
 def path_graph():
@@ -191,3 +194,23 @@ class TestPriorKnowledge:
         pk = PriorKnowledge.load(path)
         assert frozenset(("A", "B")) in pk.forbidden
         assert pk.requires("C", "D")
+
+
+class TestDSeparationTester:
+    def test_matches_uncached_queries_on_all_small_dags(self):
+        # one tester per DAG answers every query, so queries that share
+        # (x, S) after the first are served from its reachability cache
+        for n in (2, 3, 4):
+            names = [f"v{i}" for i in range(n)]
+            for edges in enumerate_dags(names):
+                g = MixedGraph(names)
+                for s, t in edges:
+                    g.add_directed_edge(s, t)
+                tester = d_separation_tester(g)
+                for x, y in itertools.permutations(names, 2):
+                    rest = [v for v in names if v not in (x, y)]
+                    for r in range(len(rest) + 1):
+                        for cond in itertools.combinations(rest, r):
+                            want = d_separated(g, x, y, cond)
+                            assert tester(x, y, cond) == want
+                            assert tester(x, y, cond[::-1]) == want

@@ -20,14 +20,13 @@ from causaltab.stats import (
     ContingencyTable2x2,
     chisq_sf,
     fisher_exact,
-    fisher_z_ci_test,
     fold_increase,
     g_squared_test,
     ols,
     point_biserial,
 )
 
-from oracles import fisher_exact_fraction, pearson_r, reference_g_squared_test
+from oracles import fisher_exact_fraction, fisher_z_ci_test, pearson_r, reference_g_squared_test
 
 mp.mp.dps = 30
 

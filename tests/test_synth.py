@@ -6,7 +6,7 @@ import pytest
 from causaltab.data import complete_cases
 from causaltab.discovery import LearnConfig, learn_skeleton, oracle_ci_test
 from causaltab.errors import CyclicGraphError, NodeMismatchError
-from causaltab.graph import MixedGraph, d_separated, topological_order
+from causaltab.graph import MixedGraph, topological_order
 from causaltab.stats import point_biserial
 from causaltab.synth import (
     LinearSEM,
@@ -17,7 +17,7 @@ from causaltab.synth import (
     shd,
 )
 
-from oracles import dsep_by_paths, enumerate_dags
+from oracles import d_separated, dsep_by_paths, enumerate_dags
 
 
 class TestSampleSem:
