@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -68,20 +69,29 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+@contextmanager
+def _reading(what: str):
+    """Turn a missing or malformed input into a CausalTabError that names it."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise CausalTabError(f"{what}: {exc}") from None
+
+
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     payload: dict = {}
     if args.config:
-        payload.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        with _reading(f"--config {args.config}"):
+            payload.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
     for f in _flag_fields():
         value = getattr(args, f.name)
         if value is not None:
             payload[f.name] = value
-    try:
+    with _reading("config"):
         config = PipelineConfig.from_json_dict(payload)
-    except ValueError as exc:
-        raise SystemExit(f"causaltab: {exc}") from None
     if args.prior:
-        config = replace(config, prior=PriorKnowledge.load(args.prior))
+        with _reading(f"--prior {args.prior}"):
+            config = replace(config, prior=PriorKnowledge.load(args.prior))
     return config
 
 
@@ -128,8 +138,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(args)
     except CausalTabError as exc:
-        # the one-line message of a config error, not a traceback; returned
-        # rather than raised so that in-process callers get a status
+        # the one-line message of an input or config error, not a traceback;
+        # returned rather than raised so that in-process callers get a status
         print(f"causaltab: {exc}", file=sys.stderr)
         return 1
 
@@ -145,7 +155,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"wrote cohort.csv, cohort.schema.json, truth_graph.json to {outdir}")
         return 0
 
-    dataset = load_csv(args.data, args.schema)
+    with _reading("--data/--schema"):
+        dataset = load_csv(args.data, args.schema)
 
     if args.command == "summarize":
         summary = summarize(dataset, by_outcome=not args.no_outcome_split)
@@ -153,7 +164,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     config = _build_config(args)
-    ci_test = oracle_ci_test(MixedGraph.load(args.oracle_dag)) if args.oracle_dag else None
+    ci_test = None
+    if args.oracle_dag:
+        with _reading(f"--oracle-dag {args.oracle_dag}"):
+            ci_test = oracle_ci_test(MixedGraph.load(args.oracle_dag))
     outdir = args.out
 
     if args.command == "step1":
@@ -188,9 +202,10 @@ def _features_arg(args: argparse.Namespace, from_key: str, json_field: str) -> l
         return [f.strip() for f in args.features.split(",") if f.strip()]
     source = getattr(args, from_key, None)
     if source:
-        payload = json.loads(Path(source).read_text(encoding="utf-8"))
+        with _reading(f"--{from_key.replace('_', '-')} {source}"):
+            payload = json.loads(Path(source).read_text(encoding="utf-8"))
         return list(payload[json_field])
-    raise SystemExit("provide --features or the previous step's JSON output")
+    raise CausalTabError("provide --features or the previous step's JSON output")
 
 
 if __name__ == "__main__":

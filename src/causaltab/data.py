@@ -258,12 +258,6 @@ class DatasetView:
     def schema_for(self, name: str) -> ColumnSchema:
         return self.source.schema_for(name)
 
-    def column_index(self, name: str) -> int:
-        try:
-            return self.columns.index(name)
-        except ValueError:
-            raise UnknownColumnError(f"column {name!r} not selected in view") from None
-
     def coded(self, name: str) -> np.ndarray:
         if name not in self.columns:
             raise UnknownColumnError(f"column {name!r} not selected in view")

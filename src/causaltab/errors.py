@@ -80,10 +80,6 @@ class CyclicGraphError(CausalTabError):
     """A directed graph expected to be acyclic contains a cycle."""
 
 
-class NodeMismatchError(CausalTabError):
-    """Two graphs compared over different node sets."""
-
-
 class NotAdjacentError(CausalTabError):
     """An edge-level operation was asked about a non-adjacent pair."""
 

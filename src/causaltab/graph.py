@@ -276,9 +276,6 @@ class SepSetStore:
     def get(self, u: str, v: str) -> tuple[str, ...] | None:
         return self._store.get(frozenset((u, v)))
 
-    def __len__(self) -> int:
-        return len(self._store)
-
     def items(self) -> Iterator[tuple[frozenset[str], tuple[str, ...]]]:
         return iter(sorted(self._store.items(), key=lambda kv: tuple(sorted(kv[0]))))
 

@@ -79,6 +79,17 @@ class PipelineConfig:
     seed: int = 0
     prior: PriorKnowledge | None = None
 
+    def __post_init__(self):
+        self.learn_config()  # LearnConfig checks alpha and max_cond_size
+        if self.tree_max_depth < 1:
+            raise ValueError(f"tree_max_depth must be >= 1, got {self.tree_max_depth}")
+        if self.cv_folds < 2:
+            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        if self.permutation_features is not None and self.permutation_features < 1:
+            raise ValueError(
+                f"permutation_features must be None or >= 1, got {self.permutation_features}"
+            )
+
     def learn_config(self) -> LearnConfig:
         return LearnConfig(
             alpha=self.alpha,

@@ -1,137 +1,93 @@
-"""Ground-truth generators backing the test harness.
+"""The seeded synthetic clinical cohort behind ``causaltab synth``.
 
-Provides a linear Gaussian SEM sampler, structural Hamming distance, and a
-seeded synthetic clinical cohort whose outcome dependence runs through a
-declared ground-truth graph. The exact d-separation oracle lives in
-:mod:`causaltab.graph`.
+A 265-row table laid out like the published cohort, whose outcome
+dependence runs through a declared ground-truth graph over seven
+engineered (backbone) columns; the background columns carry no outcome
+signal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .data import ColumnSchema, Dataset, KIND_BINARY, KIND_CONTINUOUS, KIND_ORDINAL
-from .errors import NodeMismatchError
-from .graph import MixedGraph, _directed_maps, topological_order
+from .graph import MixedGraph
 from .stats import point_biserial
 
-__all__ = [
-    "LinearSEM",
-    "sample_sem",
-    "sem_from_edges",
-    "shd",
-    "make_clinical_synth",
-]
-
-
-# -- linear Gaussian SEM ------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearSEM:
-    """Fully directed acyclic graph with edge coefficients and per-node noise."""
-
-    dag: MixedGraph
-    coefficients: dict[tuple[str, str], float]
-    noise_sd: dict[str, float]
-
-    def __post_init__(self):
-        topological_order(self.dag)  # raises CyclicGraphError when not a DAG
-        for src, dst in self.dag.directed_edges():
-            if (src, dst) not in self.coefficients:
-                raise ValueError(f"edge {src!r}->{dst!r} has no coefficient")
-        for n in self.dag.nodes:
-            sd = self.noise_sd.get(n)
-            if sd is None or sd <= 0:
-                raise ValueError(f"node {n!r} needs a positive noise sd")
-
-
-def sem_from_edges(
-    edges: Mapping[tuple[str, str], float] | Iterable[tuple[str, str, float]],
-    noise_sd: Mapping[str, float] | float = 1.0,
-    nodes: Sequence[str] | None = None,
-) -> LinearSEM:
-    """Convenience constructor from (src, dst, coefficient) triples."""
-    if isinstance(edges, Mapping):
-        triples = [(s, t, c) for (s, t), c in edges.items()]
-    else:
-        triples = list(edges)
-    names: list[str] = list(nodes) if nodes is not None else []
-    for s, t, _ in triples:
-        for n in (s, t):
-            if n not in names:
-                names.append(n)
-    dag = MixedGraph(names)
-    coeffs = {}
-    for s, t, c in triples:
-        dag.add_directed_edge(s, t)
-        coeffs[(s, t)] = float(c)
-    if isinstance(noise_sd, Mapping):
-        sds = {n: float(noise_sd.get(n, 1.0)) for n in names}
-    else:
-        sds = {n: float(noise_sd) for n in names}
-    return LinearSEM(dag=dag, coefficients=coeffs, noise_sd=sds)
-
-
-def sample_sem(sem: LinearSEM, n: int, seed: int) -> Dataset:
-    """Ancestral sampling of a linear Gaussian SEM into a continuous Dataset."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    rng = np.random.default_rng(seed)
-    parents, _ = _directed_maps(sem.dag)
-    values: dict[str, np.ndarray] = {}
-    for node in topological_order(sem.dag):
-        col = sem.noise_sd[node] * rng.standard_normal(n)
-        for p in parents[node]:
-            col = col + sem.coefficients[(p, node)] * values[p]
-        values[node] = col
-    schema = [
-        ColumnSchema(name=node, kind=KIND_CONTINUOUS, category="synthetic")
-        for node in sem.dag.nodes
-    ]
-    return Dataset(schema, values)
-
-
-# -- structural Hamming distance ---------------------------------------------------
-
-def shd(g1: MixedGraph, g2: MixedGraph, skeleton_only: bool = False) -> int:
-    """Edit count (edge insertions/deletions plus endpoint-mark changes) g1 -> g2."""
-    if set(g1.nodes) != set(g2.nodes):
-        raise NodeMismatchError(
-            f"node sets differ: {sorted(set(g1.nodes) ^ set(g2.nodes))}"
-        )
-    nodes = sorted(g1.nodes)
-    count = 0
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1:]:
-            e1 = g1.edge(u, v)
-            e2 = g2.edge(u, v)
-            if (e1 is None) != (e2 is None):
-                count += 1
-            elif e1 is not None and not skeleton_only:
-                if e1.mark_at(u) != e2.mark_at(u):
-                    count += 1
-                if e1.mark_at(v) != e2.mark_at(v):
-                    count += 1
-    return count
-
-
-# -- synthetic clinical cohort ------------------------------------------------------
+__all__ = ["make_clinical_synth"]
 
 _COHORT_ROWS = 265
 _DEATHS = 71
 _OUTCOME_NAME = "OUTCOME"
 
-# Engineered columns: the outcome depends on AGE, PF, BUN, COPD and MYALGIA
-# directly; CONFUSION hangs off AGE and CREATININE feeds BUN, so every
-# backbone feature sits within two hops of the outcome.
-_BB_AGE = ("AGE", "demographic", 66.6, 15.9, 0)
-_BB_PF = ("PF", "blood", 283.2, 95.8, 12)
-_BB_BUN = ("BUN", "blood", 27.9, 24.8, 18)
-_BB_CREATININE = ("CREATININE", "blood", 1.22, 1.09, 7)
+# Every column in schema order: (name, category, kind, params, missing cells,
+# units). Binary params are the prevalence, ordinal params are level
+# probabilities, continuous params are (mu, sigma). Backbone columns have
+# params None and come from ``_backbone_columns``: the outcome depends on
+# AGE, PF, BUN, COPD and MYALGIA directly; CONFUSION hangs off AGE and
+# CREATININE feeds BUN, so every backbone feature sits within two hops of
+# the outcome.
+_COLUMNS: tuple[tuple, ...] = (
+    ("AGE", "demographic", KIND_CONTINUOUS, None, 0, "years"),
+    ("SEX", "demographic", KIND_BINARY, 0.32, 0, ""),
+    ("SMOKE_YN", "demographic", KIND_BINARY, 0.25, 12, ""),
+    ("SMOKE_EXYN", "demographic", KIND_ORDINAL, (0.15, 0.25, 0.60), 14, ""),
+    ("COPD", "respiratory", KIND_BINARY, None, 0, ""),
+    ("ASTHMA", "respiratory", KIND_BINARY, 0.09, 0, ""),
+    ("OTHER_RESP_DISEASE", "respiratory", KIND_BINARY, 0.10, 0, ""),
+    ("DIABETES", "prior_diseases", KIND_BINARY, 0.20, 0, ""),
+    ("HYPERTENSION", "prior_diseases", KIND_BINARY, 0.42, 0, ""),
+    ("CARDIO_DISEASE", "prior_diseases", KIND_BINARY, 0.30, 0, ""),
+    ("HYPERCOLEST", "prior_diseases", KIND_BINARY, 0.20, 0, ""),
+    ("CEREBROVASC_DISEASE", "prior_diseases", KIND_BINARY, 0.10, 0, ""),
+    ("KIDNEY_DISEASE", "prior_diseases", KIND_BINARY, 0.09, 0, ""),
+    ("CANCER", "prior_diseases", KIND_BINARY, 0.11, 0, ""),
+    ("DEMENTIA", "prior_diseases", KIND_BINARY, 0.08, 0, ""),
+    ("ANTICOAG", "treatments", KIND_BINARY, 0.25, 0, ""),
+    ("RAAS_BLOCK", "treatments", KIND_BINARY, 0.30, 0, ""),
+    ("IMMUNOS_THERAPY", "treatments", KIND_BINARY, 0.05, 0, ""),
+    ("DIALYSIS", "treatments", KIND_BINARY, 0.04, 0, ""),
+    ("FEVER", "symptoms", KIND_BINARY, 0.75, 0, ""),
+    ("COUGH", "symptoms", KIND_BINARY, 0.55, 0, ""),
+    ("FATIGUE", "symptoms", KIND_BINARY, 0.25, 0, ""),
+    ("SHORT_BREATH", "symptoms", KIND_BINARY, 0.45, 0, ""),
+    ("HEADACHE", "symptoms", KIND_BINARY, 0.09, 0, ""),
+    ("DIARRHEA", "symptoms", KIND_BINARY, 0.13, 0, ""),
+    ("FC", "symptoms", KIND_CONTINUOUS, (87.3, 17.8), 16, ""),
+    ("PAS", "symptoms", KIND_CONTINUOUS, (131.4, 20.3), 16, ""),
+    ("PAD", "symptoms", KIND_CONTINUOUS, (75.9, 13.3), 16, ""),
+    ("HAEMOGLOBIN", "blood", KIND_CONTINUOUS, (13.3, 2.0), 9, ""),
+    ("WBC", "blood", KIND_CONTINUOUS, (7.7, 3.8), 4, ""),
+    ("LYMPHOCYTE", "blood", KIND_CONTINUOUS, (1200.0, 1140.0), 6, ""),
+    ("PLATELETS", "blood", KIND_CONTINUOUS, (206.3, 102.1), 5, ""),
+    ("GLUCOSE", "blood", KIND_CONTINUOUS, (127.4, 46.3), 12, ""),
+    ("SODIUM", "blood", KIND_CONTINUOUS, (138.1, 4.6), 7, ""),
+    ("POTASSIUM", "blood", KIND_CONTINUOUS, (4.02, 0.67), 11, ""),
+    ("PH", "blood", KIND_CONTINUOUS, (7.45, 0.06), 22, ""),
+    ("PO2", "blood", KIND_CONTINUOUS, (75.3, 32.7), 14, ""),
+    ("PCO2", "blood", KIND_CONTINUOUS, (34.6, 7.9), 18, ""),
+    ("PCR", "blood", KIND_CONTINUOUS, (9.25, 8.55), 15, ""),
+    ("MYALGIA", "symptoms", KIND_BINARY, None, 0, ""),
+    ("CONFUSION", "symptoms", KIND_BINARY, None, 0, ""),
+    ("CREATININE", "blood", KIND_CONTINUOUS, None, 7, "mg/dl"),
+    ("BUN", "blood", KIND_CONTINUOUS, None, 18, "mg/dl"),
+    ("PF", "blood", KIND_CONTINUOUS, None, 12, "mmHg"),
+    (_OUTCOME_NAME, "outcome", KIND_BINARY, None, 0, ""),
+)
+
+#: (mean, sd) of the continuous backbone columns around their latent z-scores.
+_BACKBONE_MOMENTS = {
+    "AGE": (66.6, 15.9),
+    "PF": (283.2, 95.8),
+    "BUN": (27.9, 24.8),
+    "CREATININE": (1.22, 1.09),
+}
+
+#: Missing cells go to the background columns in table order, then to these
+#: backbone columns in this order; the order fixes the seeded positions.
+_BACKBONE_MISSING_ORDER = ("PF", "BUN", "CREATININE")
 
 _COPD_PREVALENCE = 64 / 265
 _MYALGIA_PREVALENCE = 66 / 265
@@ -155,49 +111,6 @@ _PBC_TARGET = 0.46
 #: point-biserial target; it centers the per-sample search in
 #: ``_refine_loads``. tests/test_synth.py recomputes it by bisection.
 _AGE_PF_LOAD = 0.3419238310828194
-
-# Background columns: (name, category, kind, params, missing_rows). Binary
-# params are the prevalence, ordinal params are level probabilities,
-# continuous params are (mu, sigma).
-_NOISE_COLUMNS: tuple[tuple, ...] = (
-    ("SEX", "demographic", KIND_BINARY, 0.32, 0),
-    ("SMOKE_YN", "demographic", KIND_BINARY, 0.25, 12),
-    ("SMOKE_EXYN", "demographic", KIND_ORDINAL, (0.15, 0.25, 0.60), 14),
-    ("ASTHMA", "respiratory", KIND_BINARY, 0.09, 0),
-    ("OTHER_RESP_DISEASE", "respiratory", KIND_BINARY, 0.10, 0),
-    ("DIABETES", "prior_diseases", KIND_BINARY, 0.20, 0),
-    ("HYPERTENSION", "prior_diseases", KIND_BINARY, 0.42, 0),
-    ("CARDIO_DISEASE", "prior_diseases", KIND_BINARY, 0.30, 0),
-    ("HYPERCOLEST", "prior_diseases", KIND_BINARY, 0.20, 0),
-    ("CEREBROVASC_DISEASE", "prior_diseases", KIND_BINARY, 0.10, 0),
-    ("KIDNEY_DISEASE", "prior_diseases", KIND_BINARY, 0.09, 0),
-    ("CANCER", "prior_diseases", KIND_BINARY, 0.11, 0),
-    ("DEMENTIA", "prior_diseases", KIND_BINARY, 0.08, 0),
-    ("ANTICOAG", "treatments", KIND_BINARY, 0.25, 0),
-    ("RAAS_BLOCK", "treatments", KIND_BINARY, 0.30, 0),
-    ("IMMUNOS_THERAPY", "treatments", KIND_BINARY, 0.05, 0),
-    ("DIALYSIS", "treatments", KIND_BINARY, 0.04, 0),
-    ("FEVER", "symptoms", KIND_BINARY, 0.75, 0),
-    ("COUGH", "symptoms", KIND_BINARY, 0.55, 0),
-    ("FATIGUE", "symptoms", KIND_BINARY, 0.25, 0),
-    ("SHORT_BREATH", "symptoms", KIND_BINARY, 0.45, 0),
-    ("HEADACHE", "symptoms", KIND_BINARY, 0.09, 0),
-    ("DIARRHEA", "symptoms", KIND_BINARY, 0.13, 0),
-    ("FC", "symptoms", KIND_CONTINUOUS, (87.3, 17.8), 16),
-    ("PAS", "symptoms", KIND_CONTINUOUS, (131.4, 20.3), 16),
-    ("PAD", "symptoms", KIND_CONTINUOUS, (75.9, 13.3), 16),
-    ("HAEMOGLOBIN", "blood", KIND_CONTINUOUS, (13.3, 2.0), 9),
-    ("WBC", "blood", KIND_CONTINUOUS, (7.7, 3.8), 4),
-    ("LYMPHOCYTE", "blood", KIND_CONTINUOUS, (1200.0, 1140.0), 6),
-    ("PLATELETS", "blood", KIND_CONTINUOUS, (206.3, 102.1), 5),
-    ("GLUCOSE", "blood", KIND_CONTINUOUS, (127.4, 46.3), 12),
-    ("SODIUM", "blood", KIND_CONTINUOUS, (138.1, 4.6), 7),
-    ("POTASSIUM", "blood", KIND_CONTINUOUS, (4.02, 0.67), 11),
-    ("PH", "blood", KIND_CONTINUOUS, (7.45, 0.06), 22),
-    ("PO2", "blood", KIND_CONTINUOUS, (75.3, 32.7), 14),
-    ("PCO2", "blood", KIND_CONTINUOUS, (34.6, 7.9), 18),
-    ("PCR", "blood", KIND_CONTINUOUS, (9.25, 8.55), 15),
-)
 
 
 def clinical_truth_graph() -> MixedGraph:
@@ -291,11 +204,9 @@ def _backbone_columns(
     cut = np.partition(liability, n_dead - 1)[n_dead - 1]
     outcome = (liability > cut).astype(float)  # 0 = death, 1 = recovery
 
+    z = {"AGE": z_age, "PF": z_pf, "BUN": z_bun, "CREATININE": z_cr}
     return {
-        "AGE": _BB_AGE[2] + _BB_AGE[3] * z_age,
-        "PF": _BB_PF[2] + _BB_PF[3] * z_pf,
-        "BUN": _BB_BUN[2] + _BB_BUN[3] * z_bun,
-        "CREATININE": _BB_CREATININE[2] + _BB_CREATININE[3] * z_cr,
+        **{name: mu + sd * z[name] for name, (mu, sd) in _BACKBONE_MOMENTS.items()},
         "COPD": copd,
         "MYALGIA": myalgia,
         "CONFUSION": confusion,
@@ -354,12 +265,16 @@ def make_clinical_synth(seed: int) -> tuple[Dataset, MixedGraph]:
     lat = _backbone_latents(rng, n)
     age_load, pf_load = _refine_loads(lat, _AGE_PF_LOAD)
     columns = _backbone_columns(lat, age_load, pf_load)
+    spec = {row[0]: row for row in _COLUMNS}
+    background = [row[0] for row in _COLUMNS if row[3] is not None]
 
-    for name, _category, kind, params, _miss in _NOISE_COLUMNS:
+    for name in background:
+        kind, params = spec[name][2:4]
         if name == "PAD":
             # PAD tracks PAS; draw jointly to give the symptoms category
             # one internal edge that does not involve the outcome.
-            pas_z = (columns["PAS"] - 131.4) / 20.3
+            pas_mu, pas_sd = spec["PAS"][3]
+            pas_z = (columns["PAS"] - pas_mu) / pas_sd
             columns[name] = params[0] + params[1] * (
                 0.6 * pas_z + 0.8 * rng.standard_normal(n)
             )
@@ -373,45 +288,22 @@ def make_clinical_synth(seed: int) -> tuple[Dataset, MixedGraph]:
             columns[name] = mu + sigma * rng.standard_normal(n)
 
     # scattered missing cells, counts per column fixed, positions seeded
-    missing_plan = [
-        (name, miss)
-        for name, _cat, _kind, _params, miss in _NOISE_COLUMNS
-        if miss > 0
-    ] + [(spec[0], spec[4]) for spec in (_BB_PF, _BB_BUN, _BB_CREATININE) if spec[4] > 0]
-    for name, miss in missing_plan:
-        rows = rng.choice(n, size=miss, replace=False)
-        col = columns[name].copy()
-        col[rows] = np.nan
-        columns[name] = col
+    for name in background + list(_BACKBONE_MISSING_ORDER):
+        miss = spec[name][4]
+        if miss > 0:
+            rows = rng.choice(n, size=miss, replace=False)
+            col = columns[name].copy()
+            col[rows] = np.nan
+            columns[name] = col
 
-    schema = [
-        ColumnSchema(_BB_AGE[0], KIND_CONTINUOUS, _BB_AGE[1], units="years"),
-        ColumnSchema("SEX", KIND_BINARY, "demographic", levels=("0", "1")),
-        ColumnSchema("SMOKE_YN", KIND_BINARY, "demographic", levels=("0", "1")),
-        ColumnSchema("SMOKE_EXYN", KIND_ORDINAL, "demographic", levels=("0", "1", "2")),
-        ColumnSchema("COPD", KIND_BINARY, "respiratory", levels=("0", "1")),
-        ColumnSchema("ASTHMA", KIND_BINARY, "respiratory", levels=("0", "1")),
-        ColumnSchema("OTHER_RESP_DISEASE", KIND_BINARY, "respiratory", levels=("0", "1")),
-    ]
-    for name, category, kind, params, _miss in _NOISE_COLUMNS:
-        if name in ("SEX", "SMOKE_YN", "SMOKE_EXYN", "ASTHMA", "OTHER_RESP_DISEASE"):
-            continue
-        if kind == KIND_BINARY:
-            schema.append(ColumnSchema(name, kind, category, levels=("0", "1")))
-        elif kind == KIND_ORDINAL:
-            schema.append(
-                ColumnSchema(name, kind, category, levels=tuple(str(i) for i in range(len(params))))
-            )
+    schema = []
+    for name, category, kind, params, _miss, units in _COLUMNS:
+        if kind == KIND_CONTINUOUS:
+            schema.append(ColumnSchema(name, kind, category, units=units))
         else:
-            schema.append(ColumnSchema(name, kind, category))
-    schema.append(ColumnSchema("MYALGIA", KIND_BINARY, "symptoms", levels=("0", "1")))
-    schema.append(ColumnSchema("CONFUSION", KIND_BINARY, "symptoms", levels=("0", "1")))
-    schema.append(ColumnSchema("CREATININE", KIND_CONTINUOUS, "blood", units="mg/dl"))
-    schema.append(ColumnSchema("BUN", KIND_CONTINUOUS, "blood", units="mg/dl"))
-    schema.append(ColumnSchema("PF", KIND_CONTINUOUS, "blood", units="mmHg"))
-    schema.append(
-        ColumnSchema(_OUTCOME_NAME, KIND_BINARY, "outcome", levels=("0", "1"))
-    )
+            n_levels = len(params) if kind == KIND_ORDINAL else 2
+            levels = tuple(str(i) for i in range(n_levels))
+            schema.append(ColumnSchema(name, kind, category, levels=levels))
 
     dataset = Dataset(schema, columns)
     return dataset, clinical_truth_graph()

@@ -37,7 +37,6 @@ __all__ = [
     "PermutationTrial",
     "PermutationResult",
     "permutation_baseline",
-    "tree_depth",
     "tree_features",
     "iter_nodes",
     "tree_to_dot",
@@ -255,12 +254,6 @@ def iter_nodes(tree: TreeNode) -> Iterable[tuple[TreeNode, int]]:
         if isinstance(node, Split):
             stack.append((node.left, depth + 1))
             stack.append((node.right, depth + 1))
-
-
-def tree_depth(tree: TreeNode) -> int:
-    """Number of splits along the deepest root-to-leaf path."""
-    depths = [d for node, d in iter_nodes(tree) if isinstance(node, Split)]
-    return max(depths) if depths else 0
 
 
 def tree_features(tree: TreeNode) -> set[str]:

@@ -7,6 +7,12 @@ routes to each answer. The ``reference_*`` functions keep earlier
 versions of library code verbatim, so tests can require the optimized
 code to give equal answers. ``d_separated`` and ``fisher_z_ci_test`` are
 single-query entry points over library kernels that only tests call.
+
+The linear Gaussian SEM sampler (``LinearSEM``, ``sem_from_edges``,
+``sample_sem``) and the structural Hamming distance (``shd``) are
+test-data generators and graph scorers: tests draw data with a known
+causal graph and measure how far a learned graph is from it. The
+library itself ships only the clinical cohort behind ``causaltab synth``.
 """
 
 from __future__ import annotations
@@ -14,9 +20,15 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from causaltab.data import ColumnSchema, Dataset, KIND_CONTINUOUS
+from causaltab.errors import CausalTabError
+from causaltab.graph import MixedGraph, _directed_maps, topological_order
 
 
 # -- exhaustive DAG enumeration -------------------------------------------------
@@ -123,7 +135,7 @@ def d_separated(dag, x: str, y: str, s=()) -> bool:
     with no state kept between queries.
     """
     from causaltab.errors import UnknownNodeError
-    from causaltab.graph import _directed_maps, _reachable, topological_order
+    from causaltab.graph import _reachable
 
     parents, children = _directed_maps(dag)
     topological_order(dag)
@@ -299,6 +311,14 @@ def reference_fit_tree(view, features, outcome: str, max_depth: int):
     return grow(np.arange(X.shape[0]), 1)
 
 
+def tree_depth(tree) -> int:
+    """Number of splits along the deepest root-to-leaf path."""
+    from causaltab.tree import Split, iter_nodes
+
+    depths = [d for node, d in iter_nodes(tree) if isinstance(node, Split)]
+    return max(depths) if depths else 0
+
+
 # -- conditional-independence tests ----------------------------------------------------
 
 def reference_g_squared_test(x: str, y: str, given, view):
@@ -440,8 +460,6 @@ _DOT_EDGE_RE = re.compile(r'^\s*"([^"]+)"\s*--\s*"([^"]+)"\s*\[.*\];\s*$')
 
 def parse_dot(text: str):
     """Nodes and undirected edges of the DOT text that ``graph.to_dot`` emits."""
-    from causaltab.graph import MixedGraph
-
     g = MixedGraph()
     for line in text.splitlines():
         m = _DOT_NODE_RE.match(line)
@@ -452,3 +470,98 @@ def parse_dot(text: str):
         if m:
             g.add_edge(m.group(1), m.group(2))
     return g
+
+
+# -- linear Gaussian SEM ------------------------------------------------------
+
+@dataclass(frozen=True)
+class LinearSEM:
+    """Fully directed acyclic graph with edge coefficients and per-node noise."""
+
+    dag: MixedGraph
+    coefficients: dict[tuple[str, str], float]
+    noise_sd: dict[str, float]
+
+    def __post_init__(self):
+        topological_order(self.dag)  # raises CyclicGraphError when not a DAG
+        for src, dst in self.dag.directed_edges():
+            if (src, dst) not in self.coefficients:
+                raise ValueError(f"edge {src!r}->{dst!r} has no coefficient")
+        for n in self.dag.nodes:
+            sd = self.noise_sd.get(n)
+            if sd is None or sd <= 0:
+                raise ValueError(f"node {n!r} needs a positive noise sd")
+
+
+def sem_from_edges(
+    edges: Mapping[tuple[str, str], float] | Iterable[tuple[str, str, float]],
+    noise_sd: Mapping[str, float] | float = 1.0,
+    nodes: Sequence[str] | None = None,
+) -> LinearSEM:
+    """Convenience constructor from (src, dst, coefficient) triples."""
+    if isinstance(edges, Mapping):
+        triples = [(s, t, c) for (s, t), c in edges.items()]
+    else:
+        triples = list(edges)
+    names: list[str] = list(nodes) if nodes is not None else []
+    for s, t, _ in triples:
+        for n in (s, t):
+            if n not in names:
+                names.append(n)
+    dag = MixedGraph(names)
+    coeffs = {}
+    for s, t, c in triples:
+        dag.add_directed_edge(s, t)
+        coeffs[(s, t)] = float(c)
+    if isinstance(noise_sd, Mapping):
+        sds = {n: float(noise_sd.get(n, 1.0)) for n in names}
+    else:
+        sds = {n: float(noise_sd) for n in names}
+    return LinearSEM(dag=dag, coefficients=coeffs, noise_sd=sds)
+
+
+def sample_sem(sem: LinearSEM, n: int, seed: int) -> Dataset:
+    """Ancestral sampling of a linear Gaussian SEM into a continuous Dataset."""
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    rng = np.random.default_rng(seed)
+    parents, _ = _directed_maps(sem.dag)
+    values: dict[str, np.ndarray] = {}
+    for node in topological_order(sem.dag):
+        col = sem.noise_sd[node] * rng.standard_normal(n)
+        for p in parents[node]:
+            col = col + sem.coefficients[(p, node)] * values[p]
+        values[node] = col
+    schema = [
+        ColumnSchema(name=node, kind=KIND_CONTINUOUS, category="synthetic")
+        for node in sem.dag.nodes
+    ]
+    return Dataset(schema, values)
+
+
+# -- structural Hamming distance ---------------------------------------------------
+
+class NodeMismatchError(CausalTabError):
+    """Two graphs compared over different node sets."""
+
+
+def shd(g1: MixedGraph, g2: MixedGraph, skeleton_only: bool = False) -> int:
+    """Edit count (edge insertions/deletions plus endpoint-mark changes) g1 -> g2."""
+    if set(g1.nodes) != set(g2.nodes):
+        raise NodeMismatchError(
+            f"node sets differ: {sorted(set(g1.nodes) ^ set(g2.nodes))}"
+        )
+    nodes = sorted(g1.nodes)
+    count = 0
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1:]:
+            e1 = g1.edge(u, v)
+            e2 = g2.edge(u, v)
+            if (e1 is None) != (e2 is None):
+                count += 1
+            elif e1 is not None and not skeleton_only:
+                if e1.mark_at(u) != e2.mark_at(u):
+                    count += 1
+                if e1.mark_at(v) != e2.mark_at(v):
+                    count += 1
+    return count

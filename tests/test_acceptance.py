@@ -29,8 +29,8 @@ from causaltab.stats import (
     g_squared_test,
     point_biserial,
 )
-from causaltab.synth import make_clinical_synth, sample_sem, sem_from_edges, shd
-from causaltab.tree import evaluate, fit_tree, tree_depth
+from causaltab.synth import make_clinical_synth
+from causaltab.tree import evaluate, fit_tree
 
 from oracles import (
     best_stump_accuracy,
@@ -41,6 +41,10 @@ from oracles import (
     group_dags_by_class,
     parent_sets_of_class,
     pearson_r,
+    sample_sem,
+    sem_from_edges,
+    shd,
+    tree_depth,
 )
 
 

@@ -149,10 +149,64 @@ def test_possible_dsep_flag_turns_the_stage_on(cohort_dir, tmp_path):
 def test_config_file_with_unknown_key_exits_nonzero(cohort_dir, tmp_path, capsys):
     config = tmp_path / "typo.json"
     config.write_text(json.dumps({"alpah": 0.5}))
-    with pytest.raises(SystemExit) as exc:
-        main(["run", *_data_args(cohort_dir), "--config", str(config), "--out", str(tmp_path / "x")])
-    assert exc.value.code not in (0, None)
-    assert "alpah" in str(exc.value.code)
+    argv = ["run", *_data_args(cohort_dir), "--config", str(config), "--out", str(tmp_path / "x")]
+    assert "alpah" in _one_line_error(capsys, argv)
+
+
+def _one_line_error(capsys, argv):
+    """Run ``main`` in-process; it must return 1 and print one ``causaltab:`` line."""
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err.startswith("causaltab: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--prior", "--oracle-dag"])
+def test_missing_input_file_is_one_line_error(cohort_dir, tmp_path, capsys, flag):
+    missing = tmp_path / "nowhere.json"
+    argv = ["run", *_data_args(cohort_dir), flag, str(missing), "--out", str(tmp_path / "x")]
+    assert str(missing) in _one_line_error(capsys, argv)
+    assert not (tmp_path / "x").exists()
+
+
+def test_missing_data_file_is_one_line_error(cohort_dir, tmp_path, capsys):
+    missing = tmp_path / "nowhere.csv"
+    argv = ["run", "--data", str(missing), "--schema", str(cohort_dir / "cohort.schema.json"),
+            "--out", str(tmp_path / "x")]
+    assert str(missing) in _one_line_error(capsys, argv)
+
+
+def test_malformed_config_json_is_one_line_error(cohort_dir, tmp_path, capsys):
+    config = tmp_path / "broken.json"
+    config.write_text("{alpha: 0.5")
+    argv = ["run", *_data_args(cohort_dir), "--config", str(config), "--out", str(tmp_path / "x")]
+    assert str(config) in _one_line_error(capsys, argv)
+
+
+def test_missing_features_is_one_line_error(cohort_dir, tmp_path, capsys):
+    argv = ["step2", *_data_args(cohort_dir), "--out", str(tmp_path / "x")]
+    assert "--features" in _one_line_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--alpha", "2"),
+        ("--max-cond-size", "-1"),
+        ("--tree-max-depth", "0"),
+        ("--cv-folds", "1"),
+        ("--permutation-features", "0"),
+        ("--permutation-features", "-1"),
+    ],
+)
+def test_bad_config_value_fails_before_any_step(cohort_dir, tmp_path, capsys, flag, value):
+    argv = ["run", *_data_args(cohort_dir), flag, value, "--out", str(tmp_path / "x")]
+    field = flag.removeprefix("--").replace("-", "_")
+    assert field in _one_line_error(capsys, argv)
+    assert not (tmp_path / "x").exists()
 
 
 def _step3_without_tree_features(cohort_dir, tmp_path):

@@ -27,9 +27,15 @@ from causaltab.graph import (
     SepSetStore,
     d_separation_tester,
 )
-from causaltab.synth import make_clinical_synth, sample_sem, sem_from_edges
+from causaltab.synth import make_clinical_synth
 
-from oracles import dag_vstructures, enumerate_dags, reference_mixed_ci_test
+from oracles import (
+    dag_vstructures,
+    enumerate_dags,
+    reference_mixed_ci_test,
+    sample_sem,
+    sem_from_edges,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 

@@ -12,9 +12,14 @@ from causaltab.effects import (
 )
 from causaltab.errors import NotAdjacentError, UnknownNodeError
 from causaltab.graph import ARROW, TAIL, MixedGraph
-from causaltab.synth import sample_sem, sem_from_edges
 
-from oracles import cpdag_of_class, group_dags_by_class, parent_sets_of_class
+from oracles import (
+    cpdag_of_class,
+    group_dags_by_class,
+    parent_sets_of_class,
+    sample_sem,
+    sem_from_edges,
+)
 
 
 def cpdag_graph(directed, undirected, names):

@@ -17,10 +17,10 @@ from causaltab.pipeline import (
     write_report,
     write_step3,
 )
-from causaltab.synth import make_clinical_synth, shd
+from causaltab.synth import make_clinical_synth
 from causaltab.tree import Leaf, iter_nodes, Split
 
-from oracles import parse_dot
+from oracles import parse_dot, shd
 
 QUIET = PipelineConfig(permutation_trials=0)
 
@@ -364,6 +364,28 @@ def test_config_json_round_trip():
 def test_config_unknown_key_is_an_error():
     with pytest.raises(ValueError, match="alpah"):
         PipelineConfig.from_json_dict({"alpah": 0.5})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("alpha", 2.0),
+        ("alpha", 0.0),
+        ("max_cond_size", -1),
+        ("tree_max_depth", 0),
+        ("cv_folds", 1),
+        ("permutation_features", 0),
+        ("permutation_features", -1),
+    ],
+)
+def test_config_rejects_a_bad_value_when_built(field, value):
+    with pytest.raises(ValueError, match=field):
+        PipelineConfig(**{field: value})
+
+
+def test_config_accepts_the_smallest_valid_values():
+    PipelineConfig(max_cond_size=0, tree_max_depth=1, cv_folds=2, permutation_features=1)
+    PipelineConfig(max_cond_size=None, permutation_features=None)
 
 
 def test_config_json_round_trip_covers_every_field():

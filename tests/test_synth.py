@@ -5,19 +5,21 @@ import pytest
 
 from causaltab.data import complete_cases
 from causaltab.discovery import LearnConfig, learn_skeleton, oracle_ci_test
-from causaltab.errors import CyclicGraphError, NodeMismatchError
+from causaltab.errors import CyclicGraphError
 from causaltab.graph import MixedGraph, topological_order
 from causaltab.stats import point_biserial
-from causaltab.synth import (
+from causaltab.synth import clinical_truth_graph, make_clinical_synth
+
+from oracles import (
     LinearSEM,
-    clinical_truth_graph,
-    make_clinical_synth,
+    NodeMismatchError,
+    d_separated,
+    dsep_by_paths,
+    enumerate_dags,
     sample_sem,
     sem_from_edges,
     shd,
 )
-
-from oracles import d_separated, dsep_by_paths, enumerate_dags
 
 
 class TestSampleSem:

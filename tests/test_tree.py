@@ -14,12 +14,11 @@ from causaltab.tree import (
     kfold_cv,
     permutation_baseline,
     predict_matrix,
-    tree_depth,
     tree_features,
     tree_to_dot,
 )
 
-from oracles import best_stump_accuracy, reference_fit_tree
+from oracles import best_stump_accuracy, reference_fit_tree, tree_depth
 
 
 def numeric_dataset(columns: dict, binary=("Y",)):
