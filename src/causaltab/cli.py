@@ -82,7 +82,10 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     payload: dict = {}
     if args.config:
         with _reading(f"--config {args.config}"):
-            payload.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            if not isinstance(loaded, dict):
+                raise ValueError("expected a JSON object of PipelineConfig fields")
+            payload.update(loaded)
     for f in _flag_fields():
         value = getattr(args, f.name)
         if value is not None:
@@ -204,7 +207,10 @@ def _features_arg(args: argparse.Namespace, from_key: str, json_field: str) -> l
     if source:
         with _reading(f"--{from_key.replace('_', '-')} {source}"):
             payload = json.loads(Path(source).read_text(encoding="utf-8"))
-        return list(payload[json_field])
+            names = payload.get(json_field) if isinstance(payload, dict) else None
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ValueError(f"expected a JSON object with a {json_field!r} list of column names")
+        return names
     raise CausalTabError("provide --features or the previous step's JSON output")
 
 

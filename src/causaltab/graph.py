@@ -223,8 +223,17 @@ class MixedGraph:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "MixedGraph":
-        g = cls(payload["nodes"])
-        for e in payload.get("edges", []):
+        nodes = payload.get("nodes") if isinstance(payload, dict) else None
+        if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
+            raise ValueError("a graph must be a JSON object whose 'nodes' is a list of names")
+        edges = payload.get("edges", [])
+        if not isinstance(edges, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("u"), str) and isinstance(e.get("v"), str)
+            for e in edges
+        ):
+            raise ValueError("a graph's 'edges' must be a list of objects with string 'u' and 'v'")
+        g = cls(nodes)
+        for e in edges:
             g.add_edge(
                 e["u"],
                 e["v"],
@@ -318,10 +327,21 @@ class PriorKnowledge:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "PriorKnowledge":
-        return cls.from_pairs(
-            forbidden=[tuple(p) for p in payload.get("forbidden", [])],
-            required=[tuple(p) for p in payload.get("required", [])],
-        )
+        if not isinstance(payload, dict):
+            raise ValueError("prior knowledge must be a JSON object")
+        unknown = sorted(set(payload) - {"forbidden", "required"})
+        if unknown:
+            raise ValueError(f"unknown prior knowledge keys: {', '.join(unknown)}")
+        pairs = {}
+        for key in ("forbidden", "required"):
+            value = payload.get(key, [])
+            if not isinstance(value, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 and all(isinstance(n, str) for n in p)
+                for p in value
+            ):
+                raise ValueError(f"prior knowledge {key!r} must be a list of [name, name] pairs")
+            pairs[key] = [tuple(p) for p in value]
+        return cls.from_pairs(**pairs)
 
     def to_json_dict(self) -> dict:
         return {

@@ -61,6 +61,10 @@ __all__ = [
 FOLD_DISPLAY_MIN = 1.2
 
 
+#: JSON value types of the PipelineConfig field annotations (first union member)
+_JSON_TYPES = {"str": str, "float": (int, float), "int": int, "bool": bool}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for the full workflow; defaults follow the reference protocol."""
@@ -110,6 +114,15 @@ class PipelineConfig:
         unknown = sorted(set(payload) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for f in fields(cls):
+            if f.name not in payload or f.name == "prior":
+                continue
+            value = payload[f.name]
+            kind, *optional = f.type.split(" | ")
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
+                raise ValueError(f"field {f.name!r} must be {f.type}, got {value!r}")
         kwargs = dict(payload)
         prior = kwargs.pop("prior", None)
         return cls(prior=PriorKnowledge.from_json_dict(prior) if prior else None, **kwargs)

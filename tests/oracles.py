@@ -5,8 +5,10 @@ than the package's code paths: exact Fraction arithmetic, exhaustive
 enumeration and brute-force searches, so tests compare two independent
 routes to each answer. The ``reference_*`` functions keep earlier
 versions of library code verbatim, so tests can require the optimized
-code to give equal answers. ``d_separated`` and ``fisher_z_ci_test`` are
-single-query entry points over library kernels that only tests call.
+code to give equal answers; ``reference_load_csv`` and
+``reference_write_csv`` are the row-wise CSV reader and writer.
+``d_separated`` and ``fisher_z_ci_test`` are single-query entry points
+over library kernels that only tests call.
 
 The linear Gaussian SEM sampler (``LinearSEM``, ``sem_from_edges``,
 ``sample_sem``) and the structural Hamming distance (``shd``) are
@@ -17,17 +19,25 @@ library itself ships only the clinical cohort behind ``causaltab synth``.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from causaltab.data import ColumnSchema, Dataset, KIND_CONTINUOUS
-from causaltab.errors import CausalTabError
+from causaltab.data import (
+    KIND_CONTINUOUS,
+    MISSING_TOKENS,
+    ColumnSchema,
+    Dataset,
+    load_schema,
+)
+from causaltab.errors import BadCellError, CausalTabError, SchemaMismatchError
 from causaltab.graph import MixedGraph, _directed_maps, topological_order
 
 
@@ -470,6 +480,82 @@ def parse_dot(text: str):
         if m:
             g.add_edge(m.group(1), m.group(2))
     return g
+
+
+# -- row-wise CSV reading and writing -----------------------------------------
+
+def reference_load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
+    """Load and validate a CSV against its sidecar schema.
+
+    Cells equal to one of MISSING_TOKENS become missing; any other value
+    that does not conform to the column kind/levels raises BadCellError
+    naming the row and column rather than being coerced.
+    """
+    schema = load_schema(schema_path)
+    want = [c.name for c in schema]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaMismatchError(f"{path}: empty CSV") from None
+        if sorted(header) != sorted(want):
+            extra = sorted(set(header) - set(want))
+            absent = sorted(set(want) - set(header))
+            raise SchemaMismatchError(
+                f"{path}: header/schema disagree (unexpected {extra}, missing {absent})"
+            )
+        data: dict[str, list[float]] = {name: [] for name in want}
+        # one decoder per column, in schema order: a categorical cell is
+        # looked up as its level rank (KeyError if undeclared), a continuous
+        # one parsed as a float (ValueError if not a number)
+        decoders = []
+        for col in schema:
+            if col.is_categorical:
+                decode = {label: float(i) for i, label in enumerate(col.levels)}.__getitem__
+            else:
+                decode = float
+            decoders.append((col, header.index(col.name), decode, data[col.name].append))
+        for r, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise SchemaMismatchError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+            for col, pos, decode, append in decoders:
+                cell = row[pos].strip()
+                if cell in MISSING_TOKENS:
+                    append(math.nan)
+                    continue
+                try:
+                    append(decode(cell))
+                except KeyError:
+                    raise BadCellError(r, col.name, cell, f"not in levels {list(col.levels)}") from None
+                except ValueError:
+                    raise BadCellError(r, col.name, cell, "not a number") from None
+    if not data[want[0]]:
+        raise SchemaMismatchError(f"{path}: no data rows")
+    return Dataset(schema, {k: np.asarray(v) for k, v in data.items()})
+
+
+def reference_write_csv(dataset: Dataset, path: str | Path) -> None:
+    """``Dataset.write_csv`` as it was, one row at a time.
+
+    ``ColumnSchema.label_of``, which only this writer called, is inlined.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(dataset.column_names)
+        cols = [dataset.coded(n) for n in dataset.column_names]
+        schemas = [dataset.schema_for(n) for n in dataset.column_names]
+        for i in range(dataset.n_rows):
+            row = []
+            for arr, sch in zip(cols, schemas):
+                v = arr[i]
+                if math.isnan(v):
+                    row.append("")
+                elif sch.is_categorical:
+                    row.append(sch.levels[int(v)])
+                else:
+                    row.append(repr(float(v)))
+            writer.writerow(row)
 
 
 # -- linear Gaussian SEM ------------------------------------------------------

@@ -209,6 +209,46 @@ def test_bad_config_value_fails_before_any_step(cohort_dir, tmp_path, capsys, fl
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, payload, field",
+    [
+        ("run", "--config", {"alpha": "x"}, "alpha"),
+        ("run", "--config", [1, 2], "JSON object"),
+        ("step2", "--from-step1", {"tree_features": ["AGE"]}, "selected_features"),
+        ("run", "--oracle-dag", {"nodes": 3}, "nodes"),
+        ("run", "--schema", [1], "column 1"),
+        ("run", "--schema", [], "array of columns"),
+        ("run", "--prior", {"forbidden": 3}, "forbidden"),
+        ("run", "--prior", {"forbiden": [["AGE", "PF"]]}, "forbiden"),
+        ("step3", "--from-step2", {"tree_features": 5}, "tree_features"),
+    ],
+    ids=[
+        "config-alpha-not-a-number",
+        "config-not-an-object",
+        "step1-without-selected-features",
+        "oracle-dag-nodes-not-a-list",
+        "schema-column-not-an-object",
+        "schema-without-columns",
+        "prior-forbidden-not-a-list",
+        "prior-unknown-key",
+        "step2-tree-features-not-a-list",
+    ],
+)
+def test_input_file_of_the_wrong_shape_is_one_line_error(
+    cohort_dir, tmp_path, capsys, command, flag, payload, field
+):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    data = ["--data", str(cohort_dir / "cohort.csv"), "--schema", str(cohort_dir / "cohort.schema.json")]
+    if flag == "--schema":
+        data[-1] = str(path)
+    else:
+        data += [flag, str(path)]
+    err = _one_line_error(capsys, [command, *data, "--out", str(tmp_path / "x")])
+    assert field in err
+    assert not (tmp_path / "x").exists()
+
+
 def _step3_without_tree_features(cohort_dir, tmp_path):
     """``causaltab step3`` on a step-2 tree with no feature, in a fresh interpreter."""
     step2 = tmp_path / "step2.json"

@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +17,13 @@ from causaltab.data import (
 )
 from causaltab.errors import (
     BadCellError,
+    CausalTabError,
     SchemaMismatchError,
     UnknownColumnError,
     ZeroVarianceError,
 )
 
-from oracles import complete_rows_scan
+from oracles import complete_rows_scan, reference_load_csv, reference_write_csv
 
 
 def write_cohort(tmp_path, rows, header="AGE,COPD,OUTCOME"):
@@ -56,7 +59,6 @@ class TestSchema:
         col = ColumnSchema("X", "binary", "c", levels=(0, 1))
         assert col.levels == ("0", "1")
         assert col.levels.index("1") == 1
-        assert col.label_of(0.0) == "0"
 
 
 class TestLoadCsv:
@@ -108,6 +110,158 @@ class TestLoadCsv:
             np.testing.assert_array_equal(
                 ds.coded(name), again.coded(name)
             )
+
+
+#: a mixed schema whose labels need CSV quoting, shadow a missing token
+#: ("NA") or carry surrounding whitespace (" pad")
+MIXED_SCHEMA = [
+    ColumnSchema("C1", "continuous", "labs"),
+    ColumnSchema("B1", "binary", "history", levels=("no", "yes")),
+    ColumnSchema("B2", "binary", "history", levels=("a,b", 'say "hi"')),
+    ColumnSchema("C2", "continuous", "labs"),
+    ColumnSchema("O1", "ordinal", "exam", levels=("NA", "low", "high")),
+    ColumnSchema("O2", "ordinal", "exam", levels=(" pad", "pad", "x y")),
+    ColumnSchema("OUTCOME", "binary", "outcome", levels=("0", "1")),
+]
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 0.1, 1e300,
+                  1.0000000000000002, 123456789.12345679]
+
+
+def mixed_table(seed: int, n_rows: int = 300) -> Dataset:
+    """Seeded codes for MIXED_SCHEMA: 17-digit and special floats, level ranks, NaN."""
+    rng = np.random.default_rng(seed)
+    coded = {}
+    for col in MIXED_SCHEMA:
+        if col.is_categorical:
+            values = rng.integers(0, col.n_levels, n_rows).astype(float)
+        else:
+            values = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-5, 6, n_rows)
+            special = rng.random(n_rows) < 0.2
+            values[special] = rng.choice(SPECIAL_FLOATS, special.sum())
+        if col.category != "outcome":
+            values[rng.random(n_rows) < 0.1] = math.nan
+        coded[col.name] = values
+    return Dataset(MIXED_SCHEMA, coded)
+
+
+def write_messy_csv(tmp_path, seed: int, n_rows: int = 300):
+    """A CSV for MIXED_SCHEMA whose cells are padded, missing or spelled oddly."""
+    rng = np.random.default_rng(seed)
+    pads = ["{}", " {}", "{} ", "\t{} ", "  {}\t"]
+    numbers = ["nan", "-nan", "inf", " -inf", "-0.0", "1e-320", "1_000", "+5", ".5", "1E5",
+               "0.10000000000000001", "NA", " NA ", "", "  "]
+    rows = []
+    for _ in range(n_rows):
+        row = []
+        for col in MIXED_SCHEMA:
+            if col.is_categorical:
+                options = list(col.levels) + ["NA", "", " ", " NA"] * (col.category != "outcome")
+                cell = options[rng.integers(len(options))]
+            elif rng.random() < 0.3:
+                cell = numbers[rng.integers(len(numbers))]
+            else:
+                cell = repr(float(rng.standard_normal() * 10.0 ** rng.integers(-5, 6)))
+            row.append(pads[rng.integers(len(pads))].format(cell))
+        rows.append(row)
+    csv_path = tmp_path / f"messy{seed}.csv"
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([c.name for c in MIXED_SCHEMA])
+        writer.writerows(rows)
+    schema_path = tmp_path / "mixed.schema.json"
+    Dataset(MIXED_SCHEMA, {c.name: np.zeros(1) for c in MIXED_SCHEMA}).write_schema(schema_path)
+    return csv_path, schema_path
+
+
+def assert_bit_identical(got: Dataset, want: Dataset):
+    assert got.column_names == want.column_names
+    for name in want.column_names:
+        assert got.coded(name).tobytes() == want.coded(name).tobytes(), name
+
+
+class TestCsvMatchesRowWiseReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_write_csv_bytes(self, tmp_path, seed):
+        ds = mixed_table(seed)
+        ds.write_csv(tmp_path / "new.csv")
+        reference_write_csv(ds, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_written_table_loads_to_the_same_codes(self, tmp_path, seed):
+        ds = mixed_table(seed, n_rows=600)  # more than two write chunks
+        ds.write_csv(tmp_path / "t.csv")
+        ds.write_schema(tmp_path / "t.schema.json")
+        got = load_csv(tmp_path / "t.csv", tmp_path / "t.schema.json")
+        assert_bit_identical(got, reference_load_csv(tmp_path / "t.csv", tmp_path / "t.schema.json"))
+        assert np.isnan(got.coded("O1")[ds.coded("O1") == 0]).all()  # missing wins over level "NA"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_messy_cells_load_to_the_same_codes(self, tmp_path, seed):
+        paths = write_messy_csv(tmp_path, seed)
+        assert_bit_identical(load_csv(*paths), reference_load_csv(*paths))
+
+    @pytest.mark.parametrize(
+        "header, rows",
+        [
+            ("AGE,COPD,OUTCOME", ["60,0,1", "61,2,0"]),  # bad level
+            ("AGE,COPD,OUTCOME", ["60,0,1", "61, 7 ,0"]),  # bad level, padded
+            ("AGE,COPD,OUTCOME", ["60,0,1", "sixty,0,1"]),  # not a number
+            ("AGE,COPD,OUTCOME", ["60,0,1", " 6 0 ,0,1"]),  # not a number, padded
+            ("AGE,COPD,OUTCOME", ["60,2,1", "61,0"]),  # short row after a bad cell
+            ("AGE,COPD,OUTCOME", ["61,0", "60,2,1"]),  # bad cell after a short row
+            ("AGE,COPD,OUTCOME", ["60,0,1", "61,0,1,5"]),  # long row
+            ("AGE,COPD,OUTCOME", ["60,0,x", "y,0,1"]),  # first bad cell in row order
+            ("OUTCOME,COPD,AGE", ["x,0,y"]),  # first bad cell in schema order
+            ("AGE,COPD,OUTCOME", []),  # no data rows
+            ("AGE,SMOKE,OUTCOME", ["1,2,3"]),  # header mismatch
+            ("", []),  # empty file
+        ],
+    )
+    def test_errors(self, tmp_path, header, rows):
+        csv_path, schema_path = write_cohort(tmp_path, rows, header=header)
+        if not header:
+            csv_path.write_text("")
+        with pytest.raises(CausalTabError) as want:
+            reference_load_csv(csv_path, schema_path)
+        with pytest.raises(type(want.value)) as got:
+            load_csv(csv_path, schema_path)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
+def test_unparsable_csv_line_is_a_schema_error(tmp_path):
+    csv_path, schema_path = write_cohort(tmp_path, ["60,0,1", "61,0," + "9" * 200_000])
+    with pytest.raises(SchemaMismatchError, match="line 3: field larger than field limit"):
+        load_csv(csv_path, schema_path)
+
+
+def test_load_csv_peak_memory_is_pinned(tmp_path):
+    # the loader keeps 8-byte codes, not one float object per cell: its
+    # traced peak stays within 3x the bytes of the arrays it returns
+    rng = np.random.default_rng(7)
+    schema, coded = [], {}
+    for j in range(99):
+        kind = ("continuous", "binary", "ordinal")[j % 3]
+        levels = {"binary": ("0", "1"), "ordinal": ("0", "1", "2")}.get(kind)
+        schema.append(ColumnSchema(f"F{j:02d}", kind, f"cat{j % 4}", levels=levels))
+        values = rng.standard_normal(2000) if levels is None else rng.integers(0, len(levels), 2000) * 1.0
+        values[rng.random(2000) < 0.02] = math.nan
+        coded[schema[-1].name] = values
+    schema.append(ColumnSchema("OUTCOME", "binary", "outcome", levels=("0", "1")))
+    coded["OUTCOME"] = rng.integers(0, 2, 2000) * 1.0
+    Dataset(schema, coded).write_csv(tmp_path / "wide.csv")
+    Dataset(schema, coded).write_schema(tmp_path / "wide.schema.json")
+
+    tracemalloc.start()
+    try:
+        ds = load_csv(tmp_path / "wide.csv", tmp_path / "wide.schema.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    final = sum(ds.coded(name).nbytes for name in ds.column_names)
+    assert final == 2000 * 100 * 8
+    assert peak <= 3 * final, f"peak {peak / final:.2f}x the loaded arrays"
 
 
 class TestCompleteCases:
