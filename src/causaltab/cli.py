@@ -15,6 +15,7 @@ from .errors import CausalTabError
 from .graph import MixedGraph, PriorKnowledge
 from .pipeline import (
     PipelineConfig,
+    config_field_type,
     run_full,
     step1_per_category,
     step2_integrated,
@@ -25,9 +26,6 @@ from .pipeline import (
     write_step3,
 )
 from .synth import make_clinical_synth
-
-#: argparse types of the PipelineConfig field annotations (first union member)
-_FLAG_TYPES = {"str": str, "float": float, "int": int}
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -43,8 +41,8 @@ def _flag_fields():
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with PipelineConfig fields")
     for f in _flag_fields():
-        kind = f.type.split(" | ")[0]
-        if kind == "bool":
+        kind, _ = config_field_type(f)
+        if kind is bool:
             # do_x defaulting to False is switched on by --x, one defaulting
             # to True is switched off by --no-x
             word = f.name.removeprefix("do_").replace("_", "-")
@@ -59,7 +57,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
             p.add_argument(
                 "--" + f.name.replace("_", "-"),
                 dest=f.name,
-                type=_FLAG_TYPES[kind],
+                type=kind,
                 help=f"PipelineConfig.{f.name}",
             )
     p.add_argument("--prior", help="prior-knowledge JSON (forbidden/required pairs)")

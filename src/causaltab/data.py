@@ -36,10 +36,6 @@ OUTCOME_CATEGORY = "outcome"
 
 #: CSV tokens read as a missing cell. Anything else must parse per the column kind.
 MISSING_TOKENS = ("", "NA")
-_MISSING = dict.fromkeys(MISSING_TOKENS, math.nan)
-
-#: rows that Dataset.write_csv formats and writes at a time
-_WRITE_CHUNK = 256
 
 
 def _normalize_level(value) -> str:
@@ -104,6 +100,11 @@ class ColumnSchema:
         if self.levels is None:
             raise ValueError(f"continuous column {self.name!r} has no levels")
         return len(self.levels)
+
+    def label_of(self, code: float) -> str:
+        if self.is_categorical:
+            return self.levels[int(code)]
+        return repr(float(code))
 
 
 class Dataset:
@@ -209,30 +210,24 @@ class Dataset:
 
         A missing cell is written empty, a categorical cell as its level's
         label and a continuous one as the ``repr`` of its float, so
-        ``load_csv`` reads the same codes back. The cells are formatted
-        column by column, ``_WRITE_CHUNK`` rows at a time, and each chunk
-        of rows goes out in one ``writerows`` call; only one chunk's text
-        is held at a time.
+        ``load_csv`` reads the same codes back.
         """
-        columns = []  # (coded array, label of each level code or None)
-        for name in self.column_names:
-            sch = self._by_name[name]
-            labels = None
-            if sch.is_categorical:
-                labels = {float(i): label for i, label in enumerate(sch.levels)}
-            columns.append((self._coded[name], labels))
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.column_names)
-            for start in range(0, self._n_rows, _WRITE_CHUNK):
-                cells = []
-                for arr, labels in columns:
-                    values = arr[start:start + _WRITE_CHUNK].tolist()
-                    if labels is None:
-                        cells.append(["" if v != v else repr(v) for v in values])
-                    else:  # codes are level ranks or NaN, and NaN finds no label
-                        cells.append([labels.get(v, "") for v in values])
-                writer.writerows(zip(*cells))
+            cols = [self._coded[n] for n in self.column_names]
+            schemas = [self._by_name[n] for n in self.column_names]
+            for i in range(self._n_rows):
+                row = []
+                for arr, sch in zip(cols, schemas):
+                    v = arr[i]
+                    if math.isnan(v):
+                        row.append("")
+                    elif sch.is_categorical:
+                        row.append(sch.label_of(v))
+                    else:
+                        row.append(repr(float(v)))
+                writer.writerow(row)
 
     def write_schema(self, path: str | Path) -> None:
         payload = []
@@ -432,12 +427,11 @@ def load_schema(path: str | Path) -> list[ColumnSchema]:
 def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
     """Load and validate a CSV against its sidecar schema.
 
-    A cell is first decoded as written: one of MISSING_TOKENS becomes
-    missing, a categorical cell its level's rank and a continuous cell
-    ``float(cell)``. Only a cell that fails is stripped of surrounding
-    whitespace and decoded again; if that fails too, BadCellError names
-    the row and column rather than coercing the value. Rows are checked
-    in file order, each row's length before its cells.
+    Each cell is stripped of surrounding whitespace. One equal to one of
+    MISSING_TOKENS becomes missing, even where a level has the same label;
+    any other value that does not conform to the column kind/levels raises
+    BadCellError naming the row and column rather than being coerced.
+    Rows are checked in file order, each row's length before its cells.
 
     Each column's codes go straight into an ``array("d")`` of 8 bytes per
     cell, and the Dataset copies them once, so the loader's peak memory is
@@ -459,29 +453,29 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
             )
         data = {name: array("d") for name in want}
         # one decoder per column, in schema order: a categorical cell is
-        # looked up among the missing tokens, which win over a level of the
-        # same label, and the levels (KeyError if neither); a continuous one
-        # is parsed as a float (ValueError if not a number). A level with
-        # surrounding whitespace is left out: a stripped cell never equals it
+        # looked up as its level rank (KeyError if undeclared), a continuous
+        # one parsed as a float (ValueError if not a number)
         decoders = []
         for col in schema:
             if col.is_categorical:
-                levels = {
-                    label: float(i) for i, label in enumerate(col.levels) if label == label.strip()
-                }
-                decode = {**levels, **_MISSING}.__getitem__
+                decode = {label: float(i) for i, label in enumerate(col.levels)}.__getitem__
             else:
                 decode = float
             decoders.append((col, header.index(col.name), decode, data[col.name].append))
-        width = len(header)
         for r, row in enumerate(reader, start=1):
-            if len(row) != width:
-                raise SchemaMismatchError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+            if len(row) != len(header):
+                raise SchemaMismatchError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
             for col, pos, decode, append in decoders:
+                cell = row[pos].strip()
+                if cell in MISSING_TOKENS:
+                    append(math.nan)
+                    continue
                 try:
-                    append(decode(row[pos]))
-                except (KeyError, ValueError):
-                    append(_decode_stripped(r, col, decode, row[pos].strip()))
+                    append(decode(cell))
+                except KeyError:
+                    raise BadCellError(r, col.name, cell, f"not in levels {list(col.levels)}") from None
+                except ValueError:
+                    raise BadCellError(r, col.name, cell, "not a number") from None
     if not data[want[0]]:
         raise SchemaMismatchError(f"{path}: no data rows")
     # the Dataset copies each column out of its buffer
@@ -495,15 +489,3 @@ def _csv_rows(fh, path: str | Path):
         yield from reader
     except csv.Error as exc:
         raise SchemaMismatchError(f"{path}: line {reader.line_num}: {exc}") from None
-
-
-def _decode_stripped(r: int, col: ColumnSchema, decode, cell: str) -> float:
-    """Code of a cell that failed as written, decoded again once stripped."""
-    if cell in _MISSING:
-        return math.nan
-    try:
-        return decode(cell)
-    except KeyError:
-        raise BadCellError(r, col.name, cell, f"not in levels {list(col.levels)}") from None
-    except ValueError:
-        raise BadCellError(r, col.name, cell, "not a number") from None

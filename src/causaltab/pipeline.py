@@ -11,7 +11,7 @@ sets with matched subject counts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import Field, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -61,8 +61,14 @@ __all__ = [
 FOLD_DISPLAY_MIN = 1.2
 
 
-#: JSON value types of the PipelineConfig field annotations (first union member)
-_JSON_TYPES = {"str": str, "float": (int, float), "int": int, "bool": bool}
+#: Python types of the PipelineConfig field annotations (first union member)
+_CONFIG_TYPES = {"str": str, "float": float, "int": int, "bool": bool}
+
+
+def config_field_type(f: Field) -> tuple[type, bool]:
+    """Type of a PipelineConfig field other than ``prior``, and whether it may be None."""
+    kind, *optional = f.type.split(" | ")
+    return _CONFIG_TYPES[kind], bool(optional)
 
 
 @dataclass(frozen=True)
@@ -118,10 +124,11 @@ class PipelineConfig:
             if f.name not in payload or f.name == "prior":
                 continue
             value = payload[f.name]
-            kind, *optional = f.type.split(" | ")
+            kind, optional = config_field_type(f)
             if value is None and optional:
                 continue
-            if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
+            accepted = (int, float) if kind is float else kind  # a float may be written as 1
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
                 raise ValueError(f"field {f.name!r} must be {f.type}, got {value!r}")
         kwargs = dict(payload)
         prior = kwargs.pop("prior", None)

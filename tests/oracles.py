@@ -5,8 +5,8 @@ than the package's code paths: exact Fraction arithmetic, exhaustive
 enumeration and brute-force searches, so tests compare two independent
 routes to each answer. The ``reference_*`` functions keep earlier
 versions of library code verbatim, so tests can require the optimized
-code to give equal answers; ``reference_load_csv`` and
-``reference_write_csv`` are the row-wise CSV reader and writer.
+code to give equal answers; ``reference_load_csv`` is the CSV reader
+that kept one Python float per cell.
 ``d_separated`` and ``fisher_z_ci_test`` are single-query entry points
 over library kernels that only tests call.
 
@@ -533,29 +533,6 @@ def reference_load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
     if not data[want[0]]:
         raise SchemaMismatchError(f"{path}: no data rows")
     return Dataset(schema, {k: np.asarray(v) for k, v in data.items()})
-
-
-def reference_write_csv(dataset: Dataset, path: str | Path) -> None:
-    """``Dataset.write_csv`` as it was, one row at a time.
-
-    ``ColumnSchema.label_of``, which only this writer called, is inlined.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset.column_names)
-        cols = [dataset.coded(n) for n in dataset.column_names]
-        schemas = [dataset.schema_for(n) for n in dataset.column_names]
-        for i in range(dataset.n_rows):
-            row = []
-            for arr, sch in zip(cols, schemas):
-                v = arr[i]
-                if math.isnan(v):
-                    row.append("")
-                elif sch.is_categorical:
-                    row.append(sch.levels[int(v)])
-                else:
-                    row.append(repr(float(v)))
-            writer.writerow(row)
 
 
 # -- linear Gaussian SEM ------------------------------------------------------
