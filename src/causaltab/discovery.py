@@ -11,13 +11,18 @@ be substituted for validation runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable
+from itertools import combinations, islice
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .data import DatasetView, standardize
-from .errors import IncompleteViewError, UnknownNodeError
+from .errors import (
+    CausalTabError,
+    IncompleteViewError,
+    UnknownColumnError,
+    UnknownNodeError,
+)
 from .graph import (
     ARROW,
     CIRCLE,
@@ -27,7 +32,12 @@ from .graph import (
     SepSetStore,
     d_separation_tester,
 )
-from .stats import fisher_z_from_correlation, g_squared_test
+from .stats import (
+    fisher_z_batch,
+    fisher_z_from_correlation,
+    g_squared_batch,
+    g_squared_test,
+)
 
 __all__ = [
     "LearnConfig",
@@ -44,6 +54,12 @@ __all__ = [
 
 #: A conditional-independence test: (x, y, conditioning set) -> p-value.
 CITest = Callable[[str, str, tuple[str, ...]], float]
+
+#: The most conditioning sets of one pair and level that the searches hand
+#: to a CI test's batch path at once. A larger chunk pays numpy's per-call
+#: cost over more sets, but computes more sets that are never asked, once
+#: an earlier set has removed the edge.
+_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -84,47 +100,116 @@ def mixed_ci_test(view: DatasetView) -> CITest:
     partial-correlation test on numeric-coded data. The work shared by all
     tests on the view is done once: the view decodes its categorical
     columns to int64 codes on the first G^2 test, and the correlation
-    matrix is built on the first Fisher-z test. Both kernels are looked up
-    as attributes of this module at each call.
+    matrix is built on the first Fisher-z test. Every kernel is looked up
+    as an attribute of this module at each call. A query naming a column
+    outside the view raises UnknownColumnError.
 
     The returned test is memoized: it keeps each p-value under its query
     (x, y, given), so a query asked again, as the possible-d-sep stage
     asks many the skeleton search already answered, calls no kernel. The
-    memo belongs to the returned closure, so it lasts as long as the test
+    memo belongs to the returned test, so it lasts as long as the test
     (one ``run_fci`` on one view) and is never shared between views. The
     key keeps x and y in the order asked: swapping them permutes the
     correlation submatrix and the G^2 table, which can change the p-value
     in its last bits. A query that raises stores nothing and raises again
     when repeated.
+
+    The test also has a batch path, ``prefetch(x, y, subsets)``: the
+    searches hand it a pair's conditioning sets of one level in chunks,
+    and it answers each chunk into the memo with one batched kernel call
+    per kind (``stats.g_squared_batch``, ``stats.fisher_z_batch``), whose
+    p-values are bit-identical to the one-query kernels'. The searches
+    then ask the chunk's sets one at a time as before, so decisions and
+    ``tests_run`` do not change. A set whose kernel would raise is left
+    out of the memo and raises only when asked. A CI test passed in by the
+    caller stays a plain per-query callable; it needs no batch path.
     """
-    categorical = {c: view.schema_for(c).is_categorical for c in view.columns}
-    state: dict[str, object] = {}
-    answered: dict[tuple[str, str, tuple[str, ...]], float] = {}
+    return _MixedCITest(view)
 
-    def _corr() -> tuple[np.ndarray, dict[str, int]]:
-        if "corr" not in state:
-            std = standardize(view)
-            state["corr"] = np.corrcoef(std.matrix, rowvar=False)
-            state["index"] = {c: i for i, c in enumerate(std.columns)}
-        return state["corr"], state["index"]  # type: ignore[return-value]
 
-    def p_value(x: str, y: str, given: tuple[str, ...]) -> float:
+class _MixedCITest:
+    """The memoized test ``mixed_ci_test`` returns.
+
+    A class rather than a closure with a batch attribute: a function that
+    refers to itself is a reference cycle, which would keep the memo alive
+    after ``run_fci`` returns until the next full garbage collection.
+    """
+
+    def __init__(self, view: DatasetView):
+        self.view = view
+        self.categorical = {c: view.schema_for(c).is_categorical for c in view.columns}
+        self.answered: dict[tuple[str, str, tuple[str, ...]], float] = {}
+        self._corr: tuple[np.ndarray, dict[str, int]] | None = None
+
+    def _correlation(self) -> tuple[np.ndarray, dict[str, int]]:
+        if self._corr is None:
+            std = standardize(self.view)
+            self._corr = (
+                np.corrcoef(std.matrix, rowvar=False),
+                {c: i for i, c in enumerate(std.columns)},
+            )
+        return self._corr
+
+    def __call__(self, x: str, y: str, given: tuple[str, ...]) -> float:
+        key = (x, y, given)
+        p = self.answered.get(key)
+        if p is None:
+            p = self.answered[key] = self._p_value(x, y, given)
+        return p
+
+    def _p_value(self, x: str, y: str, given: tuple[str, ...]) -> float:
+        categorical = self.categorical
+        for name in (x, y, *given):
+            if name not in categorical:
+                raise UnknownColumnError(f"column {name!r} not selected in view")
         if categorical[x] and categorical[y] and all(categorical[s] for s in given):
-            return g_squared_test(x, y, given, view).p_value
-        corr, index = _corr()
+            return g_squared_test(x, y, given, self.view).p_value
+        corr, index = self._correlation()
         res = fisher_z_from_correlation(
-            corr, view.n_rows, index[x], index[y], [index[s] for s in given]
+            corr, self.view.n_rows, index[x], index[y], [index[s] for s in given]
         )
         return res.p_value
 
-    def test(x: str, y: str, given: tuple[str, ...]) -> float:
-        key = (x, y, given)
-        p = answered.get(key)
-        if p is None:
-            p = answered[key] = p_value(x, y, given)
-        return p
+    def prefetch(self, x: str, y: str, subsets: list[tuple[str, ...]]) -> None:
+        """Answer (x, y, S) for every S in ``subsets`` into the memo, in batches.
 
-    return test
+        The sets must all have one size. Sets already answered are skipped.
+        A kind with one set left to answer is left to the one-query path,
+        and so is a chunk that names a column outside the view.
+        """
+        answered = self.answered
+        todo = [s for s in subsets if (x, y, s) not in answered]
+        if len(todo) < 2:
+            return
+        categorical = self.categorical
+        names = {x, y}.union(*todo)
+        if not names <= categorical.keys():
+            return
+        if all(categorical[c] for c in names):
+            g2, fz = todo, []
+        elif categorical[x] and categorical[y]:
+            g2 = [s for s in todo if all(categorical[c] for c in s)]
+            fz = [s for s in todo if not all(categorical[c] for c in s)]
+        else:
+            g2, fz = [], todo
+        if len(g2) > 1:
+            self._store(x, y, g2, g_squared_batch(x, y, g2, self.view))
+        if len(fz) > 1:
+            try:
+                corr, index = self._correlation()
+            except CausalTabError:
+                return  # raised again by the first query that asks
+            givens = [[index[c] for c in s] for s in fz]
+            self._store(
+                x, y, fz, fisher_z_batch(corr, self.view.n_rows, index[x], index[y], givens)
+            )
+
+    def _store(
+        self, x: str, y: str, subsets: list[tuple[str, ...]], p_values: list[float | None]
+    ) -> None:
+        for s, p in zip(subsets, p_values):
+            if p is not None:
+                self.answered[(x, y, s)] = p
 
 
 def oracle_ci_test(dag: MixedGraph) -> CITest:
@@ -143,6 +228,41 @@ def oracle_ci_test(dag: MixedGraph) -> CITest:
         return 1.0 if tester(x, y, inside) else 0.0
 
     return test
+
+
+def _separating_set(
+    ci: CITest, x: str, y: str, subsets: Iterable[tuple[str, ...]], alpha: float
+) -> tuple[int, tuple[str, ...] | None]:
+    """Ask ``ci`` about (x, y, S) for each S in turn until one gives p > alpha.
+
+    Returns the number of queries asked and that S, or None. A test with a
+    ``prefetch`` method is first handed each chunk of up to ``_CHUNK``
+    sets, so it can answer them together; the queries are then asked one
+    at a time all the same, so the decision and the count are those of
+    asking one at a time.
+    """
+    prefetch = getattr(ci, "prefetch", None)
+    if prefetch is not None:
+        subsets = _in_chunks(prefetch, x, y, subsets)
+    asked = 0
+    for asked, sset in enumerate(subsets, 1):
+        if ci(x, y, sset) > alpha:
+            return asked, sset
+    return asked, None
+
+
+def _in_chunks(
+    prefetch: Callable[[str, str, list[tuple[str, ...]]], None],
+    x: str,
+    y: str,
+    subsets: Iterable[tuple[str, ...]],
+) -> Iterator[tuple[str, ...]]:
+    """``subsets`` in order, each chunk of two or more handed to ``prefetch`` first."""
+    subsets = iter(subsets)
+    while chunk := list(islice(subsets, _CHUNK)):
+        if len(chunk) > 1:
+            prefetch(x, y, chunk)
+        yield from chunk
 
 
 def learn_skeleton(
@@ -196,13 +316,14 @@ def learn_skeleton(
                 candidates = [c for c in frozen[x] if c != y]
                 if len(candidates) < level:
                     continue
-                for sset in combinations(candidates, level):
-                    tests_run += 1
-                    if ci(x, y, sset) > config.alpha:
-                        adj[x].discard(y)
-                        adj[y].discard(x)
-                        sepsets.record(x, y, sset)
-                        break
+                asked, sset = _separating_set(
+                    ci, x, y, combinations(candidates, level), config.alpha
+                )
+                tests_run += asked
+                if sset is not None:
+                    adj[x].discard(y)
+                    adj[y].discard(x)
+                    sepsets.record(x, y, sset)
         level += 1
 
     graph = MixedGraph(cols)
@@ -289,14 +410,14 @@ def possible_dsep_prune(
             pool = sorted(pd_cache[anchor] - {x, y}, key=order.__getitem__)
             limit = len(pool) if config.max_cond_size is None else min(config.max_cond_size, len(pool))
             for size in range(1, limit + 1):
-                for sset in combinations(pool, size):
-                    tests_run += 1
-                    if ci_test(x, y, sset) > config.alpha:
-                        g.remove_edge(x, y)
-                        seps.record(x, y, sset)
-                        removed = True
-                        break
-                if removed:
+                asked, sset = _separating_set(
+                    ci_test, x, y, combinations(pool, size), config.alpha
+                )
+                tests_run += asked
+                if sset is not None:
+                    g.remove_edge(x, y)
+                    seps.record(x, y, sset)
+                    removed = True
                     break
             if removed:
                 break

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, groupby
 from typing import Sequence
 
 import numpy as np
@@ -32,8 +33,10 @@ __all__ = [
     "FoldIncrease",
     "chisq_sf",
     "fisher_z_from_correlation",
+    "fisher_z_batch",
     "partial_correlation",
     "g_squared_test",
+    "g_squared_batch",
     "fisher_exact",
     "point_biserial",
     "ols",
@@ -115,11 +118,58 @@ def fisher_z_from_correlation(
     if n - k - 3 <= 0:
         raise SampleTooSmallError(f"need n > |S| + 3; n={n}, |S|={k}")
     rho = partial_correlation(corr, i, j, given)
+    stat, p = _fisher_z(rho, n - k - 3)
+    return TestResult(statistic=stat, p_value=p, dof=float(n - k - 3), effect=rho)
+
+
+def _fisher_z(rho: float, dof: int) -> tuple[float, float]:
+    """Fisher-z statistic of a partial correlation on ``dof`` = n - |S| - 3, and its p-value.
+
+    Scalar ``math`` calls throughout: numpy's vectorized arctanh and erfc
+    differ from them in the last bits.
+    """
     clamped = min(max(rho, -1.0 + 1e-15), 1.0 - 1e-15)
-    stat = math.sqrt(n - k - 3) * math.atanh(clamped)
+    stat = math.sqrt(dof) * math.atanh(clamped)
     # 2*(1 - Phi(|stat|)) evaluated as erfc for precision in the far tail
-    p = math.erfc(abs(stat) / math.sqrt(2.0))
-    return TestResult(statistic=stat, p_value=min(p, 1.0), dof=float(n - k - 3), effect=rho)
+    return stat, min(math.erfc(abs(stat) / math.sqrt(2.0)), 1.0)
+
+
+def fisher_z_batch(
+    corr: np.ndarray, n: int, i: int, j: int, givens: Sequence[Sequence[int]]
+) -> list[float | None]:
+    """P-values of ``fisher_z_from_correlation(corr, n, i, j, g)`` for each g in ``givens``.
+
+    The sets must all have one size. Their submatrices are inverted by one
+    ``np.linalg.inv`` over the stack, and each p-value is bit-identical to
+    the one-set kernel's. An entry is None where that kernel would raise:
+    too few rows, or a singular or ill-conditioned submatrix. A singular
+    submatrix leaves every entry at None.
+    """
+    k = _one_size(givens)
+    out: list[float | None] = [None] * len(givens)
+    dof = n - k - 3
+    if dof <= 0:
+        return out
+    if k == 0:
+        return [_fisher_z(float(corr[i, j]), dof)[1] for _ in givens]
+    idx = np.array([[i, j, *given] for given in givens])
+    try:
+        inv = np.linalg.inv(corr[idx[:, :, None], idx[:, None, :]])
+    except np.linalg.LinAlgError:
+        return out
+    denoms = (inv[:, 0, 0] * inv[:, 1, 1]).tolist()
+    for q, (off, denom) in enumerate(zip(inv[:, 0, 1].tolist(), denoms)):
+        if math.isfinite(denom) and denom > 0:
+            out[q] = _fisher_z(-off / math.sqrt(denom), dof)[1]
+    return out
+
+
+def _one_size(givens: Sequence[Sequence]) -> int:
+    """The size shared by every conditioning set of a batch."""
+    sizes = {len(given) for given in givens}
+    if len(sizes) != 1:
+        raise ValueError(f"a batch needs conditioning sets of one size, got sizes {sorted(sizes)}")
+    return sizes.pop()
 
 
 def _checked_codes(names: Sequence[str], view: DatasetView) -> list[tuple[np.ndarray, int]]:
@@ -184,6 +234,72 @@ def g_squared_test(
     g2 = max(0.0, 2.0 * float(terms.sum()))
     dof = (kx - 1) * (ky - 1) * n_strata
     return TestResult(statistic=g2, p_value=min(chisq_sf(g2, dof), 1.0), dof=float(dof))
+
+
+def g_squared_batch(
+    x: str, y: str, givens: Sequence[Sequence[str]], view: DatasetView
+) -> list[float | None]:
+    """P-values of ``g_squared_test(x, y, g, view)`` for each g in ``givens``.
+
+    The sets must all have one size. Their tables are counted by one
+    ``bincount`` and scored in one vectorized pass, with every stratum of
+    every set side by side on the last axis. Each set's terms are then
+    summed as one contiguous row in ``g_squared_test``'s cell order, so
+    each p-value is bit-identical to the one-set kernel's. An entry is
+    None where that kernel would raise: for a set naming a column that is
+    not a complete categorical column of the view.
+    """
+    size = _one_size(givens)
+    out: list[float | None] = [None] * len(givens)
+    decoded = view.categorical_codes
+    if x not in decoded or y not in decoded:
+        return out
+    (cx, kx), (cy, ky) = decoded[x], decoded[y]
+    # (number of strata, position) of each set that can be counted, sorted
+    # so that the sets form few runs of equal strata counts, each of which
+    # is summed by one call below
+    jobs = sorted(
+        (math.prod(decoded[s][1] for s in given), q)
+        for q, given in enumerate(givens)
+        if all(s in decoded for s in given)
+    )
+    if not jobs:
+        return out
+    sets = [givens[q] for _, q in jobs]
+    # cell (x, y, stratum s of the i-th set) counts at [x, y, first[i] + s],
+    # where s is g_squared_test's mixed-radix stratum index: the sum of each
+    # digit times the product of the radices after it
+    first = list(accumulate((n_strata for n_strata, _ in jobs), initial=0))
+    width = first.pop()
+    flat = np.add.outer(np.array(first), (cx * ky + cy) * width)
+    place = [1] * len(sets)
+    for t in reversed(range(size)):
+        digits = np.concatenate([decoded[s[t]][0] for s in sets]).reshape(flat.shape)
+        if t < size - 1:
+            digits *= np.array(place)[:, None]
+        flat += digits
+        place = [p * decoded[s[t]][1] for p, s in zip(place, sets)]
+    table = np.bincount(flat.ravel(), minlength=kx * ky * width).reshape(kx, ky, width)
+
+    # the margins and r*c are exact integers, so each cell takes the same
+    # floating-point steps as in g_squared_test
+    row = table.sum(axis=1)
+    col = table.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = row[:, None] * col[None] / row.sum(axis=0)
+        terms = np.where(table > 0, table * np.log(table / expected), 0.0)
+    # back to g_squared_test's order: stratum, then x, then y
+    terms = np.ascontiguousarray(terms.reshape(kx * ky, width).T)
+    start = 0
+    for n_strata, run in groupby(jobs, key=lambda job: job[0]):
+        queries = [q for _, q in run]
+        stop = start + len(queries) * n_strata
+        sums = terms[start:stop].reshape(len(queries), -1).sum(axis=1)
+        start = stop
+        dof = (kx - 1) * (ky - 1) * n_strata
+        for q, total in zip(queries, sums.tolist()):
+            out[q] = min(chisq_sf(max(0.0, 2.0 * total), dof), 1.0)
+    return out
 
 
 def _hypergeom_weights(r1: int, r2: int, c1: int) -> tuple[range, list[int]]:

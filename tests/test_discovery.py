@@ -1,5 +1,8 @@
+import gc
 import itertools
+import math
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,11 @@ from causaltab.discovery import (
     possible_dsep_set,
     run_fci,
 )
-from causaltab.errors import IncompleteViewError, SingularCorrelationError
+from causaltab.errors import (
+    IncompleteViewError,
+    SingularCorrelationError,
+    UnknownColumnError,
+)
 from causaltab.graph import (
     ARROW,
     CIRCLE,
@@ -491,3 +498,178 @@ class TestMemoizedCiTest:
         assert calls["fisher_z"] == 2
         assert got == [reference_mixed_ci_test(half)("a", "b", ()) for half in halves]
         assert got[0] != got[1]
+
+
+def count_batch_calls(monkeypatch):
+    """Count calls to both batch kernels at the module attributes the default test uses."""
+    calls = {"g2": 0, "fisher_z": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(discovery, "g_squared_batch", counted("g2", discovery.g_squared_batch))
+    monkeypatch.setattr(discovery, "fisher_z_batch", counted("fisher_z", discovery.fisher_z_batch))
+    return calls
+
+
+class TestBatchedCiTest:
+    @pytest.mark.parametrize("source", ["seed1_cohort", "wide_history", "wide_exam"])
+    def test_same_answers_as_the_reference(self, monkeypatch, source):
+        view = {
+            "seed1_cohort": seed1_cohort_view,
+            "wide_history": lambda: wide_category_view("history"),
+            "wide_exam": lambda: wide_category_view("exam"),
+        }[source]()
+        config = LearnConfig(do_possible_dsep=True)
+        calls = count_batch_calls(monkeypatch)
+        test = discovery.mixed_ci_test(view)
+        got = run_fci(view, config, ci_test=test)
+        want = run_fci(view, config, ci_test=reference_mixed_ci_test(view))
+        # the wide table's history and exam categories are all categorical
+        assert calls["g2"] > 0
+        assert (calls["fisher_z"] > 0) == (source == "seed1_cohort")
+        for res in (got, run_fci(view, config)):
+            assert res.graph.to_json_dict() == want.graph.to_json_dict()
+            assert res.sepsets.to_json_dict() == want.sepsets.to_json_dict()
+            assert res.tests_run == want.tests_run
+        reference = reference_mixed_ci_test(view)
+        assert all(p == reference(*query) for query, p in test.answered.items())
+
+    def test_chunk_spanning_several_strata_counts(self):
+        view = wide_category_view("exam")
+        levels = {c: k for c, (_, k) in view.categorical_codes.items()}
+        x, y, *rest = [c for c in view.columns if c in levels]
+        chunk = list(itertools.combinations(rest[:8], 3))[:32]
+        assert len({math.prod(levels[c] for c in s) for s in chunk}) > 1
+        assert {levels[c] for c in (x, y, *rest[:8])} == {2, 3}
+        test = discovery.mixed_ci_test(view)
+        test.prefetch(x, y, chunk)
+        assert set(test.answered) == {(x, y, s) for s in chunk}
+        reference = reference_mixed_ci_test(view)
+        assert all(p == reference(*query) for query, p in test.answered.items())
+
+    def test_chunk_of_both_kinds(self, monkeypatch):
+        # a categorical pair given single columns of either kind: the
+        # chunk splits into a G^2 batch and a Fisher-z batch
+        view = seed1_cohort_view()
+        binary = [c for c in view.columns if view.schema_for(c).kind == "binary"]
+        x, y = binary[:2]
+        chunk = [(c,) for c in view.columns if c not in (x, y)]
+        calls = count_batch_calls(monkeypatch)
+        test = discovery.mixed_ci_test(view)
+        test.prefetch(x, y, chunk)
+        assert calls == {"g2": 1, "fisher_z": 1}
+        assert set(test.answered) == {(x, y, s) for s in chunk}
+        reference = reference_mixed_ci_test(view)
+        assert all(p == reference(*query) for query, p in test.answered.items())
+
+    def test_singular_set_after_the_separating_set(self):
+        # X and Y are independent given {P, Q} only; A and its copy B are
+        # kept next to X by the prior, so the level-2 chunk of (X, Y) holds
+        # the singular set (A, B) after the separating set (P, Q)
+        rng = np.random.default_rng(31)
+        n = 2000
+        p, q, a = rng.standard_normal((3, n))
+        columns = {
+            "X": p + q + rng.standard_normal(n),
+            "Y": p + q + rng.standard_normal(n),
+            "P": p,
+            "Q": q,
+            "A": a,
+            "B": a.copy(),
+        }
+        ds = Dataset([ColumnSchema(c, "continuous", "c") for c in columns], columns)
+        prior = PriorKnowledge.from_pairs(
+            forbidden=[("A", "B")],
+            required=[("X", "P"), ("X", "Q"), ("X", "A"), ("X", "B")],
+        )
+        config = LearnConfig(alpha=0.01, do_possible_dsep=False)
+        test = discovery.mixed_ci_test(ds.view())
+        chunks = []
+
+        batch = test.prefetch
+
+        def prefetch(x, y, subsets):
+            chunks.append((x, y, list(subsets)))
+            batch(x, y, subsets)
+
+        test.prefetch = prefetch
+        got = run_fci(ds.view(), config, prior, ci_test=test)
+        want = run_fci(ds.view(), config, prior, ci_test=reference_mixed_ci_test(ds.view()))
+        assert got.graph.to_json_dict() == want.graph.to_json_dict()
+        assert got.tests_run == want.tests_run
+        assert got.sepsets.get("X", "Y") == ("P", "Q")
+        chunk = next(sets for x, y, sets in chunks if (x, y) == ("X", "Y") and ("A", "B") in sets)
+        assert chunk.index(("P", "Q")) < chunk.index(("A", "B"))
+        assert ("X", "Y", ("A", "B")) not in test.answered
+        with pytest.raises(SingularCorrelationError):
+            test("X", "Y", ("A", "B"))
+
+    def test_memo_is_freed_when_run_fci_returns(self, monkeypatch):
+        # the default test must hold no reference cycle: with the cycle
+        # collector off, refcounting alone has to free it and its memo
+        made = []
+        factory = discovery.mixed_ci_test
+
+        def tracked(view):
+            test = factory(view)
+            made.append(weakref.ref(test))
+            return test
+
+        monkeypatch.setattr(discovery, "mixed_ci_test", tracked)
+        view = seed1_cohort_view()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_fci(view, LearnConfig(do_possible_dsep=True))
+            assert len(made) == 1 and made[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
+class TestUnknownColumn:
+    @pytest.fixture()
+    def view(self):
+        rng = np.random.default_rng(12)
+        schema = [
+            ColumnSchema("a", "binary", "c", levels=("0", "1")),
+            ColumnSchema("b", "binary", "c", levels=("0", "1")),
+            ColumnSchema("lab", "continuous", "c"),
+            ColumnSchema("out", "binary", "c", levels=("0", "1")),
+        ]
+        ds = Dataset(schema, {
+            "a": rng.integers(0, 2, 100).astype(float),
+            "b": rng.integers(0, 2, 100).astype(float),
+            "lab": rng.standard_normal(100),
+            "out": rng.integers(0, 2, 100).astype(float),
+        })
+        return ds.view(["a", "b", "lab"])
+
+    @pytest.mark.parametrize(
+        "x, y, given",
+        [("a", "out", ()), ("out", "a", ()), ("a", "b", ("out",)), ("lab", "out", ()),
+         ("lab", "a", ("out",)), ("a", "nowhere", ("b",))],
+    )
+    def test_query_outside_the_view(self, view, x, y, given):
+        test = discovery.mixed_ci_test(view)
+        with pytest.raises(UnknownColumnError, match="not selected in view"):
+            test(x, y, given)
+        assert test.answered == {}
+
+    def test_batched_query_outside_the_view(self, view):
+        test = discovery.mixed_ci_test(view)
+        chunk = [("lab",), ("out",)]
+        test.prefetch("a", "b", chunk)
+        assert test.answered == {}
+        assert test("a", "b", ("lab",)) == reference_mixed_ci_test(view)("a", "b", ("lab",))
+        with pytest.raises(UnknownColumnError, match="'out' not selected in view"):
+            test("a", "b", ("out",))
+
+    def test_search_with_a_test_of_a_narrower_view(self, view):
+        wide = view.source.view(["a", "b", "lab", "out"])
+        with pytest.raises(UnknownColumnError, match="'out' not selected in view"):
+            run_fci(wide, LearnConfig(), ci_test=discovery.mixed_ci_test(view))

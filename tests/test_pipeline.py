@@ -6,7 +6,7 @@ import pytest
 
 from causaltab.data import ColumnSchema, Dataset, complete_cases
 from causaltab.effects import EffectEstimate
-from causaltab.errors import CausalTabError
+from causaltab.errors import CausalTabError, SingularCorrelationError
 from causaltab.graph import MixedGraph, PriorKnowledge
 from causaltab.pipeline import (
     PipelineConfig,
@@ -280,6 +280,18 @@ class TestFullRun:
         write_report(report, tmp_path, ds)
         payload = json.loads((tmp_path / "report.json").read_text())
         assert set(payload) == {"config", "outcome", "summary", "step1"}
+
+    def test_collinear_copy_still_raises_at_its_first_asked_query(self, cohort):
+        # a copy of CREATININE in a category of its own makes every step-2
+        # query on the pair singular; the batched CI test defers a failed
+        # chunk to its one-query path, which raises for the first set asked
+        ds, _ = cohort
+        copy = replace(ds.schema_for("CREATININE"), name="CREATININE_COPY", category="copies")
+        columns = {c.name: ds.coded(c.name) for c in ds.schema}
+        columns[copy.name] = ds.coded("CREATININE").copy()
+        with pytest.raises(SingularCorrelationError) as info:
+            run_full(Dataset([*ds.schema, copy], columns), PipelineConfig(seed=1))
+        assert str(info.value) == "correlation submatrix for (5, 6 | (8,)) is singular"
 
     def test_report_metrics_rederive_and_files_write(self, cohort, tmp_path):
         ds, _ = cohort

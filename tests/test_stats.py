@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -6,6 +7,7 @@ import pytest
 
 from causaltab.data import ColumnSchema, Dataset, complete_cases, standardize
 from causaltab.errors import (
+    CausalTabError,
     DegenerateGroupError,
     DomainError,
     IncompleteViewError,
@@ -20,7 +22,10 @@ from causaltab.stats import (
     ContingencyTable2x2,
     chisq_sf,
     fisher_exact,
+    fisher_z_batch,
+    fisher_z_from_correlation,
     fold_increase,
+    g_squared_batch,
     g_squared_test,
     ols,
     point_biserial,
@@ -320,6 +325,108 @@ class TestGSquaredMatchesReference:
         got = _raised(lambda: g_squared_test(x, y, given, mixed_view))
         assert got[0] is error
         assert got == _raised(lambda: reference_g_squared_test(x, y, given, mixed_view))
+
+
+def _p_or_none(kernel):
+    """The p-value ``kernel()`` returns, or None if it raises a package error."""
+    try:
+        return kernel().p_value
+    except CausalTabError:
+        return None
+
+
+class TestBatchKernels:
+    """The batch kernels give the one-set kernels' p-values bit for bit."""
+
+    def test_g_squared_batch_matches_one_set_kernel(self):
+        rng = np.random.default_rng(1101)
+        several_strata_counts = 0
+        for draw in range(120):
+            n = int(rng.integers(5, 301))
+            names = ["x", "y", *(f"s{i}" for i in range(6))]
+            schema, columns = [], {}
+            for name in names:
+                k = int(rng.integers(2, 4))
+                schema.append(ColumnSchema(
+                    name, "binary" if k == 2 else "ordinal", "c",
+                    levels=tuple(str(i) for i in range(k)),
+                ))
+                weights = rng.dirichlet(np.full(k, 0.4))
+                columns[name] = rng.choice(k, size=n, p=weights).astype(float)
+            view = Dataset(schema, columns).view()
+            size = draw % 4
+            givens = list(itertools.combinations(names[2:], size))[: int(rng.integers(1, 33))]
+            got = g_squared_batch("x", "y", givens, view)
+            want = [g_squared_test("x", "y", g, view).p_value for g in givens]
+            assert got == want, draw
+            levels = {c.name: c.n_levels for c in schema}
+            counts = {math.prod(levels[c] for c in g) for g in givens}
+            several_strata_counts += len(counts) > 1
+        assert several_strata_counts > 0
+
+    def test_g_squared_batch_leaves_raising_sets_unanswered(self):
+        rng = np.random.default_rng(1102)
+        schema = [
+            ColumnSchema("a", "binary", "c", levels=("0", "1")),
+            ColumnSchema("b", "ordinal", "c", levels=("0", "1", "2")),
+            ColumnSchema("c", "binary", "c", levels=("0", "1")),
+            ColumnSchema("hole", "binary", "c", levels=("0", "1")),
+            ColumnSchema("lab", "continuous", "c"),
+        ]
+        hole = rng.integers(0, 2, 80).astype(float)
+        hole[3] = np.nan
+        ds = Dataset(schema, {
+            "a": rng.integers(0, 2, 80).astype(float),
+            "b": rng.integers(0, 3, 80).astype(float),
+            "c": rng.integers(0, 2, 80).astype(float),
+            "hole": hole,
+            "lab": rng.random(80),
+        })
+        view = ds.view(["a", "b", "c", "hole", "lab"])
+        givens = [("c",), ("lab",), ("hole",), ("nowhere",), ("b",)]
+        got = g_squared_batch("a", "b", givens, view)
+        assert got[1:4] == [None, None, None]
+        for given, p in zip(givens, got):
+            assert p == _p_or_none(lambda: g_squared_test("a", "b", given, view))
+        assert g_squared_batch("lab", "a", [("c",), ("b",)], view) == [None, None]
+
+    def test_fisher_z_batch_matches_one_set_kernel(self):
+        rng = np.random.default_rng(1103)
+        for draw in range(60):
+            n = int(rng.integers(20, 400))
+            mixing = rng.standard_normal((8, 8))
+            data = rng.standard_normal((n, 8)) @ mixing
+            corr = np.corrcoef(data, rowvar=False)
+            size = draw % 5
+            givens = list(itertools.combinations(range(2, 8), size))[: int(rng.integers(1, 33))]
+            got = fisher_z_batch(corr, n, 0, 1, givens)
+            want = [fisher_z_from_correlation(corr, n, 0, 1, g).p_value for g in givens]
+            assert got == want, draw
+
+    def test_fisher_z_batch_of_empty_sets(self):
+        corr = np.corrcoef(np.random.default_rng(1104).standard_normal((50, 3)), rowvar=False)
+        want = fisher_z_from_correlation(corr, 50, 0, 2, ()).p_value
+        assert fisher_z_batch(corr, 50, 0, 2, [()]) == [want]
+
+    def test_fisher_z_batch_leaves_raising_sets_unanswered(self):
+        rng = np.random.default_rng(1105)
+        z = rng.standard_normal(100)
+        data = np.column_stack([rng.standard_normal((100, 3)), z, z])
+        corr = np.corrcoef(data, rowvar=False)
+        assert None not in fisher_z_batch(corr, 100, 0, 1, [(2,), (3,), (4,)])
+        # a singular submatrix fails the whole stack
+        assert fisher_z_batch(corr, 100, 0, 1, [(2, 3), (3, 4)]) == [None, None]
+        with pytest.raises(SingularCorrelationError):
+            fisher_z_from_correlation(corr, 100, 0, 1, (3, 4))
+        # too few rows for the set size
+        assert fisher_z_batch(corr, 5, 0, 1, [(2, 3), (2, 4)]) == [None, None]
+
+    def test_batches_need_sets_of_one_size(self):
+        view = categorical_view({c: np.array([0.0, 1, 0, 1, 1, 0]) for c in "xyzw"})
+        with pytest.raises(ValueError, match="one size"):
+            g_squared_batch("x", "y", [("z",), ("z", "w")], view)
+        with pytest.raises(ValueError, match="one size"):
+            fisher_z_batch(np.eye(4), 6, 0, 1, [(2,), ()])
 
 
 class TestFisherExact:
