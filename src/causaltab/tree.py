@@ -5,13 +5,17 @@ declared outcome level, death in the clinical encoding) is the positive
 class throughout; leaf ties predict it since missing a death
 is the costlier triage error.
 
-``fit_tree`` presorts as CART does (Breiman et al. 1984): one stable
-argsort per feature per tree, after which each node carries its rows in
-every feature's order and a split passes each child its part of those
-orders. A node scores all cuts of all its features in one vectorized
-pass, with the same floating-point Gini expression per cut and the same
-tie order (earliest feature, then smallest threshold) as a per-feature
-search over freshly sorted rows would, so the trees are identical.
+``fit_tree`` presorts as CART does (Breiman et al. 1984) and keeps each
+feature's sorted rows contiguous, as SLIQ's attribute lists do (Mehta,
+Agrawal & Rissanen 1996): one stable argsort per feature per tree gives a
+features-major matrix, one row per feature, of flat indices into
+``X.T``. A node gathers its values and class flags with one ``take``
+each and scores all cuts of all its features, left and right sides
+stacked, in one vectorized pass, with the same floating-point Gini
+expression per cut and the same tie order (earliest feature, then
+smallest threshold) as a per-feature search over freshly sorted rows
+would, so the trees are identical. A split passes each child its part of
+the orders by one boolean mask.
 """
 
 from __future__ import annotations
@@ -116,46 +120,38 @@ def _leaf(counts: tuple[int, int]) -> Leaf:
 
 
 def _best_split(
-    X: np.ndarray, is0: np.ndarray, order: np.ndarray
+    values: np.ndarray, is0: np.ndarray, order: np.ndarray
 ) -> tuple[int, float, int, int] | None:
-    """(feature column, threshold, rows left, class-0 rows left) of a node's best split.
+    """(feature, threshold, rows left, class-0 rows left) of a node's best split.
 
-    ``order`` holds the node's rows sorted by each feature, one column per
-    feature, and every feature is scored in one pass. Cut i puts sorted
-    rows 0..i left; positions between equal values score inf. The first
-    minimum of a column is its smallest threshold, and the first minimal
-    column is the earliest feature. None when no feature has a cut.
+    ``order`` is features-major: row f holds the node's rows sorted by
+    feature f, as flat indices into ``values`` (``X.T`` raveled) and
+    ``is0``. Cut i puts sorted rows 0..i left, and every cut of every
+    feature is scored in one pass over both sides; positions between
+    equal values score inf. The first minimum in features-major order is
+    the earliest feature's smallest threshold. None when no feature has a
+    cut.
     """
-    n, n_features = order.shape
+    n_features, n = order.shape
     if n_features == 0:
         return None
-    sv = X[order, np.arange(n_features)]
-    ones = np.cumsum(is0[order], axis=0)
-    n_left = np.arange(1, n)[:, None]
-    n_right = n - n_left
-    c0_left = ones[:-1].astype(float)
-    c0_right = ones[-1] - c0_left
-    p0l = c0_left / n_left
-    p0r = c0_right / n_right
-    gini_l = 1.0 - p0l**2 - (1.0 - p0l) ** 2
-    gini_r = 1.0 - p0r**2 - (1.0 - p0r) ** 2
-    weighted = (n_left * gini_l + n_right * gini_r) / n
-    weighted[sv[1:] <= sv[:-1]] = np.inf
-    pos = weighted.argmin(axis=0)
-    j = int(weighted[pos, np.arange(n_features)].argmin())
-    cut = pos[j]
-    if weighted[cut, j] == np.inf:
+    sv = values.take(order)
+    ones = is0.take(order).cumsum(axis=1)
+    sizes = np.arange(1, n)
+    m = np.array((sizes, sizes[::-1]))[:, None]
+    c0 = ones[:, :-1]
+    p = np.array((c0, ones[:, -1:] - c0)) / m
+    gini = (1.0 - p**2 - (1.0 - p) ** 2) * m
+    weighted = (gini[0] + gini[1]) / n
+    weighted[sv[:, 1:] <= sv[:, :-1]] = np.inf
+    j, cut = divmod(int(weighted.argmin()), n - 1)
+    if weighted[j, cut] == np.inf:
         return None
-    column = sv[:, j]
-    thr = float(0.5 * (column[cut] + column[cut + 1]))
+    row = sv[j]
+    thr = float(0.5 * (row[cut] + row[cut + 1]))
     # cut + 1 rows, unless the midpoint rounds onto a neighbouring value
-    rows_left = int(np.searchsorted(column, thr, side="right"))
-    return j, thr, rows_left, int(ones[rows_left - 1, j]) if rows_left else 0
-
-
-def _partition(order: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The rows of ``order`` where ``keep`` holds, each column still in sorted order."""
-    return order.T[keep.T].reshape(order.shape[1], -1).T
+    rows_left = int(row.searchsorted(thr, side="right"))
+    return j, thr, rows_left, int(ones[j, rows_left - 1]) if rows_left else 0
 
 
 def fit_tree(
@@ -171,10 +167,12 @@ def fit_tree(
     impurity prefer the earliest feature in declared order, then the
     smallest threshold. Value <= threshold routes left.
 
-    The rows are sorted by every feature once per tree, stably. A node
-    scores all features' cuts in one pass over its sorted row orders, and
-    its split hands each child that child's part of the orders (a stable
-    partition, so no node sorts again) and its class counts.
+    The rows are sorted by every feature once per tree, stably, into one
+    features-major matrix of flat indices into ``X.T``. A split hands each
+    child that child's part of the orders (a stable partition, so no node
+    sorts again) and its class counts. Nodes are grown from a stack, keyed
+    by heap position (the children of k at 2k + 1 and 2k + 2), and built
+    leaves first, so a fit leaves no reference cycle behind.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
@@ -185,29 +183,41 @@ def fit_tree(
         raise EmptyDataError("no rows to fit on")
     if np.isnan(X).any() or np.isnan(y).any():
         raise IncompleteViewError("tree fitting requires complete cases")
-    is0 = y.astype(np.int64) == 0
+    n, n_features = X.shape
+    XT = np.ascontiguousarray(X.T)
+    values = XT.ravel()
+    row_of = np.tile(np.arange(n), n_features)  # the row of each flat index
+    rows0 = y.astype(np.int64) == 0
+    is0 = rows0[row_of]
+    root = np.argsort(XT, axis=1, kind="stable") + np.arange(0, values.size, n)[:, None]
+    n0 = int(np.count_nonzero(rows0))
 
-    def grow(
-        order: np.ndarray, keep: np.ndarray | None, counts: tuple[int, int], depth: int
-    ) -> TreeNode:
-        """The subtree of the rows of ``order`` where ``keep`` holds (None: all)."""
-        if depth > max_depth or counts[0] == 0 or counts[1] == 0:
-            return _leaf(counts)
-        if keep is not None:
-            order = _partition(order, keep)
-        found = _best_split(X, is0, order)
+    searched = {}  # heap position -> (class counts, _best_split's result)
+    stack = [(0, root, None, (n0, n - n0), 1)]
+    while stack:
+        at, order, keep, counts, depth = stack.pop()
+        found = None
+        if depth <= max_depth and counts[0] and counts[1]:
+            if keep is not None:
+                order = order.compress(keep.ravel()).reshape(n_features, -1)
+            found = _best_split(values, is0, order)
+        searched[at] = counts, found
+        if found is not None:
+            j, thr, rows_left, c0_left = found
+            goes_left = (XT[j] <= thr).take(row_of.take(order))
+            left = (c0_left, rows_left - c0_left)
+            right = (counts[0] - left[0], counts[1] - left[1])
+            stack.append((2 * at + 1, order, goes_left, left, depth + 1))
+            stack.append((2 * at + 2, order, ~goes_left, right, depth + 1))
+    nodes: dict[int, TreeNode] = {}
+    for at in sorted(searched, reverse=True):
+        counts, found = searched[at]
         if found is None:
-            return _leaf(counts)
-        j, thr, rows_left, c0_left = found
-        goes_left = (X[:, j] <= thr)[order]
-        left_counts = (c0_left, rows_left - c0_left)
-        right_counts = (counts[0] - left_counts[0], counts[1] - left_counts[1])
-        left = grow(order, goes_left, left_counts, depth + 1)
-        right = grow(order, ~goes_left, right_counts, depth + 1)
-        return Split(features[j], thr, left, right, counts)
-
-    n0 = int(np.count_nonzero(is0))
-    return grow(np.argsort(X, axis=0, kind="stable"), None, (n0, X.shape[0] - n0), 1)
+            nodes[at] = _leaf(counts)
+        else:
+            left, right = nodes.pop(2 * at + 1), nodes.pop(2 * at + 2)
+            nodes[at] = Split(features[found[0]], found[1], left, right, counts)
+    return nodes[0]
 
 
 def predict_matrix(
@@ -215,21 +225,22 @@ def predict_matrix(
 ) -> np.ndarray:
     """Vectorized predictions for a coded feature matrix; value <= threshold routes left."""
     out = np.empty(X.shape[0], dtype=np.int64)
-
-    def walk(node: TreeNode, idx: np.ndarray) -> None:
+    stack = [(tree, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
         if isinstance(node, Leaf):
             out[idx] = node.predicted
-            return
+            continue
         mask = X[idx, feature_index[node.feature]] <= node.threshold
-        walk(node.left, idx[mask])
-        walk(node.right, idx[~mask])
-
-    walk(tree, np.arange(X.shape[0]))
+        stack += [(node.left, idx[mask]), (node.right, idx[~mask])]
     return out
 
 
 def evaluate(tree: TreeNode, view: DatasetView, outcome: str) -> Metrics:
-    """Confusion metrics with class 0 (death) as the positive class."""
+    """Confusion metrics with class 0 (death) as the positive class.
+
+    Every other outcome code is the negative class, as in ``fit_tree``.
+    """
     feats = sorted(tree_features(tree))
     X = view.matrix(feats) if feats else np.empty((view.n_rows, 0))
     y = view.coded(outcome)
@@ -238,10 +249,7 @@ def evaluate(tree: TreeNode, view: DatasetView, outcome: str) -> Metrics:
     y = y.astype(np.int64)
     index = {f: j for j, f in enumerate(feats)}
     preds = predict_matrix(tree, X, index)
-    tp = int(((preds == 0) & (y == 0)).sum())
-    fn = int(((preds == 1) & (y == 0)).sum())
-    tn = int(((preds == 1) & (y == 1)).sum())
-    fp = int(((preds == 0) & (y == 1)).sum())
+    tp, fp, fn, tn = np.bincount(2 * preds + (y != 0), minlength=4).tolist()
     return Metrics.from_counts(tp, fn, tn, fp)
 
 
@@ -339,6 +347,8 @@ class PermutationResult:
         mis = self.misclassification()
         top = float(mis.max()) if mis.size else 0.0
         n_bins = max(1, int(math.ceil(round(top / HISTOGRAM_BIN_WIDTH, 9))))
+        if n_bins * HISTOGRAM_BIN_WIDTH < top:  # top sits a rounding error above an edge
+            n_bins += 1
         edges = np.arange(n_bins + 1) * HISTOGRAM_BIN_WIDTH
         counts, _ = np.histogram(mis, bins=edges)
         return [

@@ -212,6 +212,15 @@ class TestStep3:
         for trial in s3.permutation.trials:
             assert abs(trial.n_rows - s3.permutation.target_n) <= 0.1 * s3.permutation.target_n
 
+    def test_histogram_counts_every_trial(self, cohort, step2):
+        # with analysis seed 711 the worst trial misclassifies
+        # 0.3700000000000001 of its rows, a rounding error above a bin edge
+        ds, _ = cohort
+        cfg = PipelineConfig(permutation_trials=50, seed=711)
+        s3 = step3_predictive(ds, step2.tree_features, cfg)
+        assert s3.permutation.misclassification().max() == 0.3700000000000001
+        assert sum(count for _, _, count in s3.comparison["histogram"]) == 50
+
     def test_zero_trials_skips_comparison(self, cohort, step2, tmp_path):
         ds, _ = cohort
         s3 = step3_predictive(ds, step2.tree_features, QUIET)

@@ -1,12 +1,17 @@
+import gc
+
 import numpy as np
 import pytest
 
 from causaltab.data import ColumnSchema, Dataset, complete_cases
 from causaltab.errors import EmptyDataError, ExhaustedDrawsError, TooFewRowsError
+from causaltab.synth import make_clinical_synth
 from causaltab.tree import (
     RETRY_BUDGET,
     Leaf,
     Metrics,
+    PermutationResult,
+    PermutationTrial,
     Split,
     evaluate,
     fit_tree,
@@ -41,6 +46,16 @@ def xor_dataset():
         },
         binary=("A", "B", "Y"),
     )
+
+
+#: Three continuous step-2 tree features of the seed-1 cohort, all values
+#: distinct on their 246 complete cases.
+COHORT_FEATURES = ["AGE", "PF", "CREATININE"]
+
+
+@pytest.fixture(scope="module")
+def cohort():
+    return make_clinical_synth(1)[0]
 
 
 class TestFitTree:
@@ -227,6 +242,26 @@ class TestFitTreeMatchesReference:
                     tree = fit_tree(ds.view(), ["X"], "Y", max_depth=depth)
                     assert tree == reference_fit_tree(ds.view(), ["X"], "Y", max_depth=depth)
 
+    def test_cohort_trial_folds(self, cohort, monkeypatch):
+        # every training fold of a short permutation run on the reference
+        # cohort: about 200 rows whose continuous columns are nearly all
+        # distinct, unlike the small tables above
+        fits = TestCallStructure.record(monkeypatch, "fit_tree")
+        pool = [c for c in cohort.column_names if c != "OUTCOME"]
+        permutation_baseline(
+            cohort, pool, "OUTCOME", n_features=3, n_trials=10, k=10, max_depth=1,
+            target_n=221, seed=1,
+        )
+        assert len(fits) == 100
+        distinct = []
+        for (view, feats, outcome, _), _ in fits:
+            assert view.n_rows >= 190
+            distinct += [np.unique(view.matrix([f])).size for f in feats]
+            for depth in range(1, 7):
+                tree = fit_tree(view, feats, outcome, depth)
+                assert tree == reference_fit_tree(view, feats, outcome, depth), (feats, depth)
+        assert max(distinct) >= 190
+
     def test_no_features_gives_a_leaf(self):
         ds = numeric_dataset({"Y": [0, 1, 1]})
         tree = fit_tree(ds.view(), [], "Y", max_depth=2)
@@ -310,6 +345,27 @@ class TestEvaluate:
                 assert abs(m.sensitivity - tp / (tp + fn)) < 1e-12
             if tn + fp:
                 assert abs(m.specificity - tn / (tn + fp)) < 1e-12
+
+    def test_outcome_codes_above_one_count_as_recovery(self, cohort):
+        # an ordinal outcome: fit_tree trains death (code 0) against every
+        # other code, and evaluate must count those rows as recoveries too
+        y = cohort.coded("OUTCOME").copy()
+        recoveries = np.nonzero(y == 1)[0]
+        y[recoveries[::2]] = 2
+        schema = [
+            ColumnSchema(c.name, "ordinal", c.category, levels=("0", "1", "2"))
+            if c.name == "OUTCOME" else c
+            for c in cohort.schema
+        ]
+        columns = {c: cohort.coded(c) for c in cohort.column_names}
+        ordinal = Dataset(schema, {**columns, "OUTCOME": y})
+        view = complete_cases(ordinal, [*COHORT_FEATURES, "OUTCOME"])
+        binary_view = complete_cases(cohort, [*COHORT_FEATURES, "OUTCOME"])
+        tree = fit_tree(view, COHORT_FEATURES, "OUTCOME", max_depth=3)
+        assert tree == fit_tree(binary_view, COHORT_FEATURES, "OUTCOME", max_depth=3)
+        m = evaluate(tree, view, "OUTCOME")
+        assert m.tp + m.fn + m.tn + m.fp == view.n_rows
+        assert m == evaluate(tree, binary_view, "OUTCOME")
 
 
 class TestKfoldCv:
@@ -412,6 +468,51 @@ class TestPermutationBaseline:
         )
         hist = result.histogram()
         assert sum(c for _, _, c in hist) == 8
+
+    def test_histogram_counts_a_top_rate_just_above_a_bin_edge(self):
+        # 1 - 0.6299999999999999 is 0.3700000000000001, a rounding error
+        # above the edge 37 * 0.01 == 0.37
+        accuracies = (0.95, 0.8, 0.6299999999999999)
+        result = PermutationResult(
+            tuple(
+                PermutationTrial(("A",), 100, Metrics(0.5, 0.5, 0.5, acc, 1, 1, 1, 1))
+                for acc in accuracies
+            ),
+            100,
+        )
+        top = result.misclassification().max()
+        assert top == 0.3700000000000001
+        hist = result.histogram()
+        assert sum(c for _, _, c in hist) == 3
+        assert hist[-1][0] < top <= hist[-1][1]
+
+
+class TestNoCyclicGarbage:
+    """A fit, its evaluation and a CV run are freed by reference counting alone."""
+
+    @staticmethod
+    def garbage_after(work) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            work()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_fit_and_evaluate(self, cohort):
+        view = complete_cases(cohort, [*COHORT_FEATURES, "OUTCOME"])
+
+        def work():
+            evaluate(fit_tree(view, COHORT_FEATURES, "OUTCOME", 4), view, "OUTCOME")
+
+        assert self.garbage_after(work) == 0
+
+    def test_kfold_cv(self, cohort):
+        view = complete_cases(cohort, [*COHORT_FEATURES, "OUTCOME"])
+        assert self.garbage_after(
+            lambda: kfold_cv(view, COHORT_FEATURES, "OUTCOME", k=10, max_depth=4, seed=1)
+        ) == 0
 
 
 class TestCallStructure:
