@@ -16,13 +16,20 @@ expression per cut and the same tie order (earliest feature, then
 smallest threshold) as a per-feature search over freshly sorted rows
 would, so the trees are identical. A split passes each child its part of
 the orders by one boolean mask.
+
+``kfold_cv`` builds that presort once per cross-validation, from the
+whole view. Each fold's tree starts from it masked to the fold's training
+rows, again by one boolean mask: a stable sort restricted to a subset of
+the rows is the stable sort of that subset, so each fold grows the tree a
+fresh fit of its rows would. Each fold is scored on the test rows of the
+same feature matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -154,29 +161,18 @@ def _best_split(
     return j, thr, rows_left, int(ones[j, rows_left - 1]) if rows_left else 0
 
 
-def fit_tree(
-    view: DatasetView,
-    features: Sequence[str],
-    outcome: str,
-    max_depth: int,
-) -> TreeNode:
-    """Greedy Gini partitioning, depth counted in splits along a path.
+class _Presort(NamedTuple):
+    """A complete feature matrix sorted once, features-major, for the trees grown on it."""
 
-    Every feature splits at a midpoint of consecutive distinct values; a
-    binary feature's only cut lies between its two codes. Ties in
-    impurity prefer the earliest feature in declared order, then the
-    smallest threshold. Value <= threshold routes left.
+    XT: np.ndarray  # (F x n) and contiguous; flat indices index XT.ravel()
+    row_of: np.ndarray  # the row of each flat index
+    rows0: np.ndarray  # the class-0 flag of each row
+    is0: np.ndarray  # the class-0 flag of each flat index
+    order: np.ndarray  # (F x n): row f holds the rows sorted by feature f, as flat indices
 
-    The rows are sorted by every feature once per tree, stably, into one
-    features-major matrix of flat indices into ``X.T``. A split hands each
-    child that child's part of the orders (a stable partition, so no node
-    sorts again) and its class counts. Nodes are grown from a stack, keyed
-    by heap position (the children of k at 2k + 1 and 2k + 2), and built
-    leaves first, so a fit leaves no reference cycle behind.
-    """
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    features = list(features)
+
+def _presort(view: DatasetView, features: list[str], outcome: str) -> _Presort:
+    """Check the view's feature matrix and sort every feature of it once, stably."""
     X = view.matrix(features)
     y = view.coded(outcome)
     if X.shape[0] == 0:
@@ -185,21 +181,72 @@ def fit_tree(
         raise IncompleteViewError("tree fitting requires complete cases")
     n, n_features = X.shape
     XT = np.ascontiguousarray(X.T)
-    values = XT.ravel()
-    row_of = np.tile(np.arange(n), n_features)  # the row of each flat index
+    row_of = np.tile(np.arange(n), n_features)
     rows0 = y.astype(np.int64) == 0
-    is0 = rows0[row_of]
-    root = np.argsort(XT, axis=1, kind="stable") + np.arange(0, values.size, n)[:, None]
-    n0 = int(np.count_nonzero(rows0))
+    order = np.argsort(XT, axis=1, kind="stable") + np.arange(0, XT.size, n)[:, None]
+    return _Presort(XT, row_of, rows0, rows0[row_of], order)
+
+
+def fit_tree(
+    view: DatasetView,
+    features: Sequence[str],
+    outcome: str,
+    max_depth: int,
+    *,
+    presorted: tuple[_Presort, np.ndarray] | None = None,
+) -> TreeNode:
+    """Greedy Gini partitioning, depth counted in splits along a path.
+
+    Every feature splits at a midpoint of consecutive distinct values; a
+    binary feature's only cut lies between its two codes. Ties in
+    impurity prefer the earliest feature in declared order, then the
+    smallest threshold. Value <= threshold routes left.
+
+    The rows are sorted by every feature once, stably, into one
+    features-major matrix of flat indices into ``X.T``. ``kfold_cv`` sorts
+    its view once and passes that presort with the fold's training rows
+    as ``presorted`` (a row mask of the presorted view; ``view`` is then
+    those rows, in the same order). The root's orders are then the
+    presort masked to those rows: a stable sort restricted to a subset is
+    the stable sort of the subset, so the tree is the one a fresh fit of
+    ``view`` grows.
+    """
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+    features = list(features)
+    if presorted is None:
+        return _grow(_presort(view, features, outcome), None, features, max_depth)
+    return _grow(*presorted, features, max_depth)
+
+
+def _grow(
+    presort: _Presort, rows: np.ndarray | None, features: list[str], max_depth: int
+) -> TreeNode:
+    """The tree of the presorted rows that ``rows`` keeps (all of them when None).
+
+    A split hands each child that child's part of the orders (a stable
+    partition, so no node sorts again) and its class counts. Nodes are
+    grown from a stack, keyed by heap position (the children of k at
+    2k + 1 and 2k + 2), and built leaves first, so a fit leaves no
+    reference cycle behind.
+    """
+    XT, row_of, rows0, is0, root = presort
+    values = XT.ravel()
+    n_features = XT.shape[0]
+    if rows is None:
+        keep, n, n0 = None, rows0.size, int(np.count_nonzero(rows0))
+    else:
+        keep = rows.take(row_of.take(root))
+        n, n0 = int(np.count_nonzero(rows)), int(np.count_nonzero(rows0 & rows))
 
     searched = {}  # heap position -> (class counts, _best_split's result)
-    stack = [(0, root, None, (n0, n - n0), 1)]
+    stack = [(0, root, keep, (n0, n - n0), 1)]
     while stack:
         at, order, keep, counts, depth = stack.pop()
         found = None
         if depth <= max_depth and counts[0] and counts[1]:
             if keep is not None:
-                order = order.compress(keep.ravel()).reshape(n_features, -1)
+                order = order.compress(keep.ravel()).reshape(n_features, sum(counts))
             found = _best_split(values, is0, order)
         searched[at] = counts, found
         if found is not None:
@@ -246,9 +293,11 @@ def evaluate(tree: TreeNode, view: DatasetView, outcome: str) -> Metrics:
     y = view.coded(outcome)
     if (X.size and np.isnan(X).any()) or np.isnan(y).any():
         raise IncompleteViewError("evaluation requires complete cases")
-    y = y.astype(np.int64)
-    index = {f: j for j, f in enumerate(feats)}
-    preds = predict_matrix(tree, X, index)
+    return _score(predict_matrix(tree, X, {f: j for j, f in enumerate(feats)}), y)
+
+
+def _score(preds: np.ndarray, y: np.ndarray) -> Metrics:
+    """Confusion metrics of predictions against outcome codes; code 0 is positive."""
     tp, fp, fn, tn = np.bincount(2 * preds + (y != 0), minlength=4).tolist()
     return Metrics.from_counts(tp, fn, tn, fp)
 
@@ -271,11 +320,14 @@ def tree_features(tree: TreeNode) -> set[str]:
 def _stratified_folds(
     y: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Fold labels: per-class round-robin with extras offset across classes."""
+    """Fold labels: per-class round-robin with extras offset across classes.
+
+    The classes are those ``fit_tree`` trains: code 0 against every other code.
+    """
     fold = np.empty(y.shape[0], dtype=np.int64)
     offset = 0
-    for cls in (0, 1):
-        members = np.nonzero(y == cls)[0]
+    for in_class in (y == 0, y != 0):
+        members = np.nonzero(in_class)[0]
         if members.size == 0:
             continue
         members = members[rng.permutation(members.size)]
@@ -292,7 +344,12 @@ def kfold_cv(
     max_depth: int,
     seed: int,
 ) -> Metrics:
-    """Stratified k-fold cross-validation; rates are fold averages."""
+    """Stratified k-fold cross-validation; rates are fold averages.
+
+    The view's feature matrix is checked and presorted once. Each fold's
+    tree grows from that presort masked to the fold's training rows (see
+    ``fit_tree``), and is scored on the test rows of the same matrix.
+    """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if view.n_rows < k:
@@ -303,18 +360,21 @@ def kfold_cv(
         raise IncompleteViewError("outcome column has missing cells")
     rng = np.random.default_rng(seed)
     fold = _stratified_folds(y.astype(np.int64), k, rng)
+    tests = [fold == f for f in range(k)]
+    for f, test in enumerate(tests):
+        if not test.any() or test.all():
+            raise TooFewRowsError(f"fold {f} is empty with k={k}, n={view.n_rows}")
+    presort = _presort(view, features, outcome)
+    X = presort.XT.T
+    index = {f: j for j, f in enumerate(features)}
 
     sums = np.zeros(4)
     pooled = np.zeros(4, dtype=np.int64)
-    for f in range(k):
-        test_rows = np.nonzero(fold == f)[0]
-        train_rows = np.nonzero(fold != f)[0]
-        if test_rows.size == 0 or train_rows.size == 0:
-            raise TooFewRowsError(f"fold {f} is empty with k={k}, n={view.n_rows}")
-        train = DatasetView(view.source, view.columns, view.rows[train_rows])
-        test = DatasetView(view.source, view.columns, view.rows[test_rows])
-        tree = fit_tree(train, features, outcome, max_depth)
-        m = evaluate(tree, test, outcome)
+    for test in tests:
+        train = ~test
+        train_view = DatasetView(view.source, view.columns, view.rows[train])
+        tree = fit_tree(train_view, features, outcome, max_depth, presorted=(presort, train))
+        m = _score(predict_matrix(tree, X[test], index), y[test])
         sums += (m.sensitivity, m.specificity, m.f1, m.accuracy)
         pooled += (m.tp, m.fn, m.tn, m.fp)
     sens, spec, f1, acc = (sums / k).tolist()

@@ -321,6 +321,45 @@ def reference_fit_tree(view, features, outcome: str, max_depth: int):
     return grow(np.arange(X.shape[0]), 1)
 
 
+def reference_kfold_cv(view, features, outcome: str, k: int, max_depth: int, seed: int):
+    """``kfold_cv`` as written before the folds of a CV shared one presort.
+
+    Every fold builds fresh training and test views, fits its tree on the
+    training view alone and scores it with ``evaluate``; ``kfold_cv`` must
+    return equal ``Metrics``.
+    """
+    from causaltab.data import DatasetView
+    from causaltab.errors import IncompleteViewError, TooFewRowsError
+    from causaltab.tree import Metrics, _stratified_folds, evaluate, fit_tree
+
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if view.n_rows < k:
+        raise TooFewRowsError(f"{view.n_rows} rows cannot fill {k} folds")
+    features = list(features)
+    y = view.coded(outcome)
+    if np.isnan(y).any():
+        raise IncompleteViewError("outcome column has missing cells")
+    rng = np.random.default_rng(seed)
+    fold = _stratified_folds(y.astype(np.int64), k, rng)
+
+    sums = np.zeros(4)
+    pooled = np.zeros(4, dtype=np.int64)
+    for f in range(k):
+        test_rows = np.nonzero(fold == f)[0]
+        train_rows = np.nonzero(fold != f)[0]
+        if test_rows.size == 0 or train_rows.size == 0:
+            raise TooFewRowsError(f"fold {f} is empty with k={k}, n={view.n_rows}")
+        train = DatasetView(view.source, view.columns, view.rows[train_rows])
+        test = DatasetView(view.source, view.columns, view.rows[test_rows])
+        tree = fit_tree(train, features, outcome, max_depth)
+        m = evaluate(tree, test, outcome)
+        sums += (m.sensitivity, m.specificity, m.f1, m.accuracy)
+        pooled += (m.tp, m.fn, m.tn, m.fp)
+    sens, spec, f1, acc = (sums / k).tolist()
+    return Metrics(sens, spec, f1, acc, *(int(v) for v in pooled))
+
+
 def tree_depth(tree) -> int:
     """Number of splits along the deepest root-to-leaf path."""
     from causaltab.tree import Split, iter_nodes

@@ -260,6 +260,12 @@ class TestFullRun:
         r2 = run_full(ds, cfg)
         assert r1.to_json() == r2.to_json()
 
+    def test_ordinal_outcome_report_deterministic_bytes(self, cohort):
+        # SMOKE_EXYN has three codes; every CV fold must label every row
+        ds, _ = cohort
+        cfg = PipelineConfig(seed=1, outcome="SMOKE_EXYN", permutation_trials=5)
+        assert run_full(ds, cfg).to_json() == run_full(ds, cfg).to_json()
+
     def test_single_leaf_step2_tree_skips_step3(self, cohort, monkeypatch, tmp_path):
         # a step-2 tree without a split leaves step 3 nothing to compare
         import causaltab.pipeline as pipeline

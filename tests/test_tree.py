@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from causaltab.data import ColumnSchema, Dataset, complete_cases
-from causaltab.errors import EmptyDataError, ExhaustedDrawsError, TooFewRowsError
+from causaltab.errors import (
+    EmptyDataError,
+    ExhaustedDrawsError,
+    IncompleteViewError,
+    TooFewRowsError,
+    UnknownColumnError,
+)
 from causaltab.synth import make_clinical_synth
 from causaltab.tree import (
     RETRY_BUDGET,
@@ -23,7 +29,7 @@ from causaltab.tree import (
     tree_to_dot,
 )
 
-from oracles import best_stump_accuracy, reference_fit_tree, tree_depth
+from oracles import best_stump_accuracy, reference_fit_tree, reference_kfold_cv, tree_depth
 
 
 def numeric_dataset(columns: dict, binary=("Y",)):
@@ -203,6 +209,30 @@ def mixed_table(rng):
     return Dataset(schema, coded), [c.name for c in schema[:-1]]
 
 
+def holed_table():
+    """60 rows of tied, integer-valued and binary columns, one with holes, and the outcome."""
+    rng = np.random.default_rng(53)
+    n = 60
+    schema = [
+        ColumnSchema("TIED", "ordinal", "c", levels=("0", "1", "2")),
+        ColumnSchema("INT", "continuous", "c"),
+        ColumnSchema("BIN", "binary", "c", levels=("0", "1")),
+        ColumnSchema("HOLED", "continuous", "c"),
+        ColumnSchema("Y", "binary", "outcome", levels=("0", "1")),
+    ]
+    holed = np.round(rng.normal(size=n), 1)
+    holed[rng.random(n) < 0.25] = np.nan
+    tied = rng.integers(0, 3, n).astype(float)
+    coded = {
+        "TIED": tied,
+        "INT": rng.integers(-4, 5, n).astype(float),
+        "BIN": rng.integers(0, 2, n).astype(float),
+        "HOLED": holed,
+        "Y": (tied + rng.normal(size=n) > 1.2).astype(float),
+    }
+    return Dataset(schema, coded), [c.name for c in schema[:-1]]
+
+
 class TestFitTreeMatchesReference:
     """``fit_tree`` grows exactly the tree of the per-column reference search."""
 
@@ -261,6 +291,36 @@ class TestFitTreeMatchesReference:
                 tree = fit_tree(view, feats, outcome, depth)
                 assert tree == reference_fit_tree(view, feats, outcome, depth), (feats, depth)
         assert max(distinct) >= 190
+
+    def test_cv_folds_from_the_shared_presort(self, monkeypatch):
+        # kfold_cv grows every fold from its view's one presort: each fold
+        # tree must be the reference tree of a fresh fold view, and each CV
+        # must score as the reference CV over fresh fold views does
+        import causaltab.tree as tree_module
+
+        cvs = TestCallStructure.record(monkeypatch, "kfold_cv")
+        fits = TestCallStructure.record(monkeypatch, "fit_tree")
+        for cohort_seed in (1, 4):
+            ds = make_clinical_synth(cohort_seed)[0]
+            pool = [c for c in ds.column_names if c != "OUTCOME"]
+            for depth in range(1, 7):
+                permutation_baseline(
+                    ds, pool, "OUTCOME", n_features=3, n_trials=2, k=10, max_depth=depth,
+                    target_n=250, seed=depth,
+                )
+        ds, feats = holed_table()
+        view = complete_cases(ds, [*feats, "Y"])
+        assert 30 <= view.n_rows < ds.n_rows  # a non-contiguous subset of the rows
+        for depth in range(1, 7):
+            tree_module.kfold_cv(view, feats, "Y", 5, depth, depth)
+        monkeypatch.undo()
+        assert len(cvs) == 2 * 6 * 2 + 6
+        assert len(fits) == 2 * 6 * 2 * 10 + 6 * 5
+        for (fold_view, fold_feats, outcome, depth), tree in fits:
+            assert tree == reference_fit_tree(fold_view, fold_feats, outcome, depth)
+        for args, metrics in cvs:
+            assert metrics == reference_kfold_cv(*args), args[1:]
+        assert max(tree_depth(tree) for _, tree in fits) == 6
 
     def test_no_features_gives_a_leaf(self):
         ds = numeric_dataset({"Y": [0, 1, 1]})
@@ -416,6 +476,96 @@ class TestKfoldCv:
         ds = numeric_dataset({"X": [1.0, 2.0], "Y": [0, 1]})
         with pytest.raises(TooFewRowsError):
             kfold_cv(ds.view(), ["X"], "Y", k=5, max_depth=1, seed=0)
+
+    def test_ordinal_outcome_scores_every_row_once(self, cohort):
+        # SMOKE_EXYN has three codes; the folds stratify code 0 against the
+        # other two, as fit_tree trains, so every row lands in one fold
+        view = complete_cases(cohort, ["AGE", "PF", "SMOKE_EXYN"])
+        assert set(view.coded("SMOKE_EXYN").tolist()) == {0.0, 1.0, 2.0}
+        first = kfold_cv(view, ["AGE", "PF"], "SMOKE_EXYN", k=10, max_depth=3, seed=1)
+        second = kfold_cv(view, ["AGE", "PF"], "SMOKE_EXYN", k=10, max_depth=3, seed=1)
+        assert first.tp + first.fn + first.tn + first.fp == view.n_rows
+        assert first == second
+        assert first == reference_kfold_cv(view, ["AGE", "PF"], "SMOKE_EXYN", 10, 3, 1)
+
+    def test_folds_label_every_code(self):
+        from causaltab.tree import _stratified_folds
+
+        y = np.array([0] * 7 + [1] * 5 + [2] * 9 + [3] * 2)
+        folds = _stratified_folds(y, 4, np.random.default_rng(3))
+        assert np.bincount(folds, minlength=4).tolist() == [6, 6, 6, 5]
+        assert np.bincount(folds[y == 0], minlength=4).tolist() == [2, 2, 2, 1]
+
+    def test_binary_folds_keep_their_labels(self):
+        # stratifying code 0 against every other code gives a binary
+        # outcome the members, and so the folds, it had before
+        from causaltab.tree import _stratified_folds
+
+        y = np.random.default_rng(5).integers(0, 2, 97)
+        folds = _stratified_folds(y, 10, np.random.default_rng(59))
+        rng = np.random.default_rng(59)
+        expected = np.empty(97, dtype=np.int64)
+        offset = 0
+        for cls in (0, 1):
+            members = np.nonzero(y == cls)[0]
+            members = members[rng.permutation(members.size)]
+            expected[members] = (np.arange(members.size) + offset) % 10
+            offset += members.size % 10
+        assert folds.tolist() == expected.tolist()
+
+
+class TestKfoldCvErrors:
+    """Each bad input raises its error before any fold's tree is fit."""
+
+    @staticmethod
+    def error(monkeypatch, view, features):
+        fits = TestCallStructure.record(monkeypatch, "fit_tree")
+        with pytest.raises((IncompleteViewError, UnknownColumnError, TooFewRowsError)) as err:
+            kfold_cv(view, features, "Y", k=5, max_depth=3, seed=0)
+        assert fits == []
+        return type(err.value), str(err.value)
+
+    @staticmethod
+    def table(**holes):
+        rng = np.random.default_rng(61)
+        cols = {"X": rng.normal(size=20), "Z": rng.normal(size=20), "Y": np.tile([0.0, 1.0], 10)}
+        for name, row in holes.items():
+            cols[name][row] = np.nan
+        return numeric_dataset(cols)
+
+    def test_missing_feature_cell(self, monkeypatch):
+        view = self.table(Z=13).view()
+        assert self.error(monkeypatch, view, ["X", "Z"]) == (
+            IncompleteViewError, "tree fitting requires complete cases"
+        )
+
+    def test_feature_outside_the_view(self, monkeypatch):
+        view = complete_cases(self.table(), ["X", "Y"])
+        assert self.error(monkeypatch, view, ["X", "Z"]) == (
+            UnknownColumnError, "column 'Z' not selected in view"
+        )
+
+    def test_missing_outcome_cell(self, monkeypatch):
+        view = self.table(Y=4).view()
+        assert self.error(monkeypatch, view, ["X"]) == (
+            IncompleteViewError, "outcome column has missing cells"
+        )
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            # the last fold has no test rows
+            (lambda n, k: np.arange(n) % (k - 1), "fold 4 is empty with k=5, n=20"),
+            # the first fold takes every row, so its training rows are empty
+            (lambda n, k: np.zeros(n, dtype=np.int64), "fold 0 is empty with k=5, n=20"),
+        ],
+        ids=["no-test-rows", "no-training-rows"],
+    )
+    def test_empty_fold(self, monkeypatch, labels, message):
+        import causaltab.tree as tree_module
+
+        monkeypatch.setattr(tree_module, "_stratified_folds", lambda y, k, rng: labels(y.size, k))
+        assert self.error(monkeypatch, self.table().view(), ["X"]) == (TooFewRowsError, message)
 
 
 def cohort_with_noise(seed=0, n=200):
