@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -95,34 +95,25 @@ class FciResult:
 def mixed_ci_test(view: DatasetView) -> CITest:
     """Kind-dispatching CI test over a complete view.
 
-    Pairs with an all-categorical scope use the likelihood-ratio G^2 test;
-    any scope touching a continuous column falls back to the Fisher-z
-    partial-correlation test on numeric-coded data. The work shared by all
-    tests on the view is done once: the view decodes its categorical
-    columns to int64 codes on the first G^2 test, and the correlation
-    matrix is built on the first Fisher-z test. Every kernel is looked up
-    as an attribute of this module at each call. A query naming a column
-    outside the view raises UnknownColumnError.
+    A query whose scope (x, y and the conditioning set) is all categorical
+    gets the likelihood-ratio G^2 test; any other gets the Fisher-z
+    partial-correlation test on numeric-coded data, from a correlation
+    matrix built once per view. Each kernel is looked up as an attribute
+    of this module at each call. A query naming a column outside the view
+    raises UnknownColumnError.
 
     The returned test is memoized: it keeps each p-value under its query
-    (x, y, given), so a query asked again, as the possible-d-sep stage
-    asks many the skeleton search already answered, calls no kernel. The
-    memo belongs to the returned test, so it lasts as long as the test
-    (one ``run_fci`` on one view) and is never shared between views. The
-    key keeps x and y in the order asked: swapping them permutes the
-    correlation submatrix and the G^2 table, which can change the p-value
-    in its last bits. A query that raises stores nothing and raises again
-    when repeated.
+    (x, y, given) for as long as the test lives (one ``run_fci`` on one
+    view), so a repeated query, as the possible-d-sep stage asks many,
+    calls no kernel. x and y keep the order asked: swapping them can
+    change the p-value in its last bits. A query that raises stores
+    nothing and raises again when repeated.
 
-    The test also has a batch path, ``prefetch(x, y, subsets)``: the
-    searches hand it a pair's conditioning sets of one level in chunks,
-    and it answers each chunk into the memo with one batched kernel call
-    per kind (``stats.g_squared_batch``, ``stats.fisher_z_batch``), whose
-    p-values are bit-identical to the one-query kernels'. The searches
-    then ask the chunk's sets one at a time as before, so decisions and
-    ``tests_run`` do not change. A set whose kernel would raise is left
-    out of the memo and raises only when asked. A CI test passed in by the
-    caller stays a plain per-query callable; it needs no batch path.
+    Its batch path, ``prefetch(x, y, subsets)``, answers a chunk of one
+    pair's sets of one level into the memo with one batched kernel call
+    per kind, bit-identical to the one-query kernels. The searches then
+    ask each set as before, so decisions and ``tests_run`` do not change,
+    and a set whose kernel would raise raises only when asked.
     """
     return _MixedCITest(view)
 
@@ -158,11 +149,7 @@ class _MixedCITest:
         return p
 
     def _p_value(self, x: str, y: str, given: tuple[str, ...]) -> float:
-        categorical = self.categorical
-        for name in (x, y, *given):
-            if name not in categorical:
-                raise UnknownColumnError(f"column {name!r} not selected in view")
-        if categorical[x] and categorical[y] and all(categorical[s] for s in given):
+        if self._uses_g2(x, y, given):
             return g_squared_test(x, y, given, self.view).p_value
         corr, index = self._correlation()
         res = fisher_z_from_correlation(
@@ -170,46 +157,52 @@ class _MixedCITest:
         )
         return res.p_value
 
+    def _uses_g2(self, x: str, y: str, given: tuple[str, ...]) -> bool:
+        """The kind rule: G^2 for an all-categorical scope, Fisher-z otherwise.
+
+        A column outside the view raises UnknownColumnError.
+        """
+        names = (x, y, *given)
+        kinds = [self.categorical.get(name) for name in names]
+        if None in kinds:
+            name = names[kinds.index(None)]
+            raise UnknownColumnError(f"column {name!r} not selected in view")
+        return all(kinds)
+
     def prefetch(self, x: str, y: str, subsets: list[tuple[str, ...]]) -> None:
         """Answer (x, y, S) for every S in ``subsets`` into the memo, in batches.
 
-        The sets must all have one size. Sets already answered are skipped.
-        A kind with one set left to answer is left to the one-query path,
-        and so is a chunk that names a column outside the view.
+        The sets must all have one size. Sets already answered are skipped,
+        and a chunk that names a column outside the view is left to the
+        one-query path, which raises.
         """
         answered = self.answered
-        todo = [s for s in subsets if (x, y, s) not in answered]
-        if len(todo) < 2:
+        g2: list[tuple[str, ...]] = []
+        fz: list[tuple[str, ...]] = []
+        try:
+            for s in subsets:
+                if (x, y, s) not in answered:
+                    (g2 if self._uses_g2(x, y, s) else fz).append(s)
+        except UnknownColumnError:
             return
-        categorical = self.categorical
-        names = {x, y}.union(*todo)
-        if not names <= categorical.keys():
-            return
-        if all(categorical[c] for c in names):
-            g2, fz = todo, []
-        elif categorical[x] and categorical[y]:
-            g2 = [s for s in todo if all(categorical[c] for c in s)]
-            fz = [s for s in todo if not all(categorical[c] for c in s)]
-        else:
-            g2, fz = [], todo
+        found = []
+        # a lone G^2 set is left to g_squared_test, which answers it 20-40%
+        # faster than a batch of one on the benchmark's wide table
         if len(g2) > 1:
-            self._store(x, y, g2, g_squared_batch(x, y, g2, self.view))
-        if len(fz) > 1:
+            found += zip(g2, g_squared_batch(x, y, g2, self.view))
+        if fz:
             try:
                 corr, index = self._correlation()
             except CausalTabError:
-                return  # raised again by the first query that asks
-            givens = [[index[c] for c in s] for s in fz]
-            self._store(
-                x, y, fz, fisher_z_batch(corr, self.view.n_rows, index[x], index[y], givens)
-            )
-
-    def _store(
-        self, x: str, y: str, subsets: list[tuple[str, ...]], p_values: list[float | None]
-    ) -> None:
-        for s, p in zip(subsets, p_values):
+                pass  # raised again by the first query that asks
+            else:
+                givens = [[index[c] for c in s] for s in fz]
+                found += zip(
+                    fz, fisher_z_batch(corr, self.view.n_rows, index[x], index[y], givens)
+                )
+        for s, p in found:
             if p is not None:
-                self.answered[(x, y, s)] = p
+                answered[(x, y, s)] = p
 
 
 def oracle_ci_test(dag: MixedGraph) -> CITest:
@@ -242,27 +235,16 @@ def _separating_set(
     asking one at a time.
     """
     prefetch = getattr(ci, "prefetch", None)
-    if prefetch is not None:
-        subsets = _in_chunks(prefetch, x, y, subsets)
-    asked = 0
-    for asked, sset in enumerate(subsets, 1):
-        if ci(x, y, sset) > alpha:
-            return asked, sset
-    return asked, None
-
-
-def _in_chunks(
-    prefetch: Callable[[str, str, list[tuple[str, ...]]], None],
-    x: str,
-    y: str,
-    subsets: Iterable[tuple[str, ...]],
-) -> Iterator[tuple[str, ...]]:
-    """``subsets`` in order, each chunk of two or more handed to ``prefetch`` first."""
     subsets = iter(subsets)
+    asked = 0
     while chunk := list(islice(subsets, _CHUNK)):
-        if len(chunk) > 1:
+        if prefetch is not None:
             prefetch(x, y, chunk)
-        yield from chunk
+        for sset in chunk:
+            asked += 1
+            if ci(x, y, sset) > alpha:
+                return asked, sset
+    return asked, None
 
 
 def learn_skeleton(

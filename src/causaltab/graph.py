@@ -191,16 +191,6 @@ class MixedGraph:
             g.add_edge(e.u, e.v)
         return g
 
-    def directed_edges(self) -> list[tuple[str, str]]:
-        """Fully directed pairs (src, dst): tail at src, arrow at dst."""
-        out = []
-        for e in self.edges():
-            if e.mark_u == TAIL and e.mark_v == ARROW:
-                out.append((e.u, e.v))
-            elif e.mark_v == TAIL and e.mark_u == ARROW:
-                out.append((e.v, e.u))
-        return out
-
     def children(self, v: str) -> tuple[str, ...]:
         return tuple(n for n in self.neighbors(v) if self.edge(v, n).is_directed_out_of(v))
 

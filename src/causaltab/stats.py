@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, groupby
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 from scipy.special import gammaincc, stdtr
@@ -34,7 +34,6 @@ __all__ = [
     "chisq_sf",
     "fisher_z_from_correlation",
     "fisher_z_batch",
-    "partial_correlation",
     "g_squared_test",
     "g_squared_batch",
     "fisher_exact",
@@ -90,24 +89,25 @@ def chisq_sf(x: float, dof: float) -> float:
     return float(gammaincc(dof / 2.0, x / 2.0))
 
 
-def partial_correlation(corr: np.ndarray, i: int, j: int, given: Sequence[int]) -> float:
-    """Partial correlation of variables i, j given ``given`` from a correlation matrix."""
-    if not given:
-        return float(corr[i, j])
-    idx = [i, j, *given]
-    sub = corr[idx][:, idx]
-    try:
-        inv = np.linalg.inv(sub)
-    except np.linalg.LinAlgError:
-        raise SingularCorrelationError(
-            f"correlation submatrix for ({i}, {j} | {tuple(given)}) is singular"
-        ) from None
-    denom = inv[0, 0] * inv[1, 1]
-    if not np.isfinite(denom) or denom <= 0:
-        raise SingularCorrelationError(
-            f"correlation submatrix for ({i}, {j} | {tuple(given)}) is ill-conditioned"
-        )
-    return float(-inv[0, 1] / math.sqrt(denom))
+def _partial_correlations(
+    corr: np.ndarray, i: int, j: int, givens: Sequence[Sequence[int]]
+) -> list[float | None]:
+    """Partial correlation of variables i, j given each set of ``givens``, all of one size.
+
+    The correlation submatrices of (i, j, S) are inverted by one
+    ``np.linalg.inv`` over the stack, which raises LinAlgError when any of
+    them is singular. An entry is None where the inverse gives no
+    correlation: inv00 * inv11 is not finite or not positive.
+    """
+    if not givens[0]:
+        return [float(corr[i, j])] * len(givens)
+    idx = np.array([[i, j, *given] for given in givens])
+    inv = np.linalg.inv(corr[idx[:, :, None], idx[:, None, :]])
+    denoms = (inv[:, 0, 0] * inv[:, 1, 1]).tolist()
+    return [
+        -off / math.sqrt(denom) if math.isfinite(denom) and denom > 0 else None
+        for off, denom in zip(inv[:, 0, 1].tolist(), denoms)
+    ]
 
 
 def fisher_z_from_correlation(
@@ -117,7 +117,16 @@ def fisher_z_from_correlation(
     k = len(given)
     if n - k - 3 <= 0:
         raise SampleTooSmallError(f"need n > |S| + 3; n={n}, |S|={k}")
-    rho = partial_correlation(corr, i, j, given)
+    try:
+        (rho,) = _partial_correlations(corr, i, j, [given])
+    except np.linalg.LinAlgError:
+        raise SingularCorrelationError(
+            f"correlation submatrix for ({i}, {j} | {tuple(given)}) is singular"
+        ) from None
+    if rho is None:
+        raise SingularCorrelationError(
+            f"correlation submatrix for ({i}, {j} | {tuple(given)}) is ill-conditioned"
+        )
     stat, p = _fisher_z(rho, n - k - 3)
     return TestResult(statistic=stat, p_value=p, dof=float(n - k - 3), effect=rho)
 
@@ -139,29 +148,18 @@ def fisher_z_batch(
 ) -> list[float | None]:
     """P-values of ``fisher_z_from_correlation(corr, n, i, j, g)`` for each g in ``givens``.
 
-    The sets must all have one size. Their submatrices are inverted by one
-    ``np.linalg.inv`` over the stack, and each p-value is bit-identical to
-    the one-set kernel's. An entry is None where that kernel would raise:
-    too few rows, or a singular or ill-conditioned submatrix. A singular
-    submatrix leaves every entry at None.
+    The sets must all have one size. An entry is None where the one-set
+    test would raise: too few rows, or a singular or ill-conditioned
+    submatrix. A singular submatrix leaves every entry at None.
     """
-    k = _one_size(givens)
-    out: list[float | None] = [None] * len(givens)
-    dof = n - k - 3
+    dof = n - _one_size(givens) - 3
     if dof <= 0:
-        return out
-    if k == 0:
-        return [_fisher_z(float(corr[i, j]), dof)[1] for _ in givens]
-    idx = np.array([[i, j, *given] for given in givens])
+        return [None] * len(givens)
     try:
-        inv = np.linalg.inv(corr[idx[:, :, None], idx[:, None, :]])
+        rhos = _partial_correlations(corr, i, j, givens)
     except np.linalg.LinAlgError:
-        return out
-    denoms = (inv[:, 0, 0] * inv[:, 1, 1]).tolist()
-    for q, (off, denom) in enumerate(zip(inv[:, 0, 1].tolist(), denoms)):
-        if math.isfinite(denom) and denom > 0:
-            out[q] = _fisher_z(-off / math.sqrt(denom), dof)[1]
-    return out
+        return [None] * len(givens)
+    return [None if rho is None else _fisher_z(rho, dof)[1] for rho in rhos]
 
 
 def _one_size(givens: Sequence[Sequence]) -> int:
@@ -172,23 +170,22 @@ def _one_size(givens: Sequence[Sequence]) -> int:
     return sizes.pop()
 
 
-def _checked_codes(names: Sequence[str], view: DatasetView) -> list[tuple[np.ndarray, int]]:
-    """Codes and level counts of ``names``, raising on the first column unfit for G^2.
+def _raise_unfit_for_g2(names: Sequence[str], view: DatasetView) -> NoReturn:
+    """Raise for the first of ``names`` that is no complete categorical column of the view.
 
     Columns are checked for kind first, then for view membership, then for
-    missing cells.
+    missing cells. Called when some name is missing from
+    ``view.categorical_codes``, so one of the checks fails: a categorical
+    column of the view that the mapping leaves out has a missing cell.
     """
-    schemas = []
     for name in names:
         sch = view.schema_for(name)
         if not sch.is_categorical:
             raise NotCategoricalError(f"column {name!r} is {sch.kind}, not categorical")
-        schemas.append(sch)
-    cols = [view.coded(name) for name in names]
-    for name, arr in zip(names, cols):
-        if np.isnan(arr).any():
-            raise IncompleteViewError(f"column {name!r} has missing cells in this view")
-    return [(arr.astype(np.int64), sch.n_levels) for arr, sch in zip(cols, schemas)]
+    for name in names:
+        view.coded(name)  # UnknownColumnError outside the view
+    name = next(name for name in names if name not in view.categorical_codes)
+    raise IncompleteViewError(f"column {name!r} has missing cells in this view")
 
 
 def g_squared_test(
@@ -210,7 +207,7 @@ def g_squared_test(
     try:
         columns = [decoded[name] for name in names]
     except KeyError:
-        columns = _checked_codes(names, view)
+        _raise_unfit_for_g2(names, view)
     (cx, kx), (cy, ky) = columns[0], columns[1]
 
     # mixed-radix cell index (stratum, x, y), stratum digits in ``given`` order

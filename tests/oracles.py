@@ -38,7 +38,7 @@ from causaltab.data import (
     load_schema,
 )
 from causaltab.errors import BadCellError, CausalTabError, SchemaMismatchError
-from causaltab.graph import MixedGraph, _directed_maps, topological_order
+from causaltab.graph import ARROW, TAIL, MixedGraph, _directed_maps, topological_order
 
 
 # -- exhaustive DAG enumeration -------------------------------------------------
@@ -415,6 +415,53 @@ def reference_g_squared_test(x: str, y: str, given, view):
     return TestResult(statistic=g2, p_value=min(chisq_sf(g2, dof), 1.0), dof=float(dof))
 
 
+def _reference_partial_correlation(corr: np.ndarray, i: int, j: int, given) -> float:
+    """Partial correlation of variables i, j given ``given`` from a correlation matrix."""
+    from causaltab.errors import SingularCorrelationError
+
+    if not given:
+        return float(corr[i, j])
+    idx = [i, j, *given]
+    sub = corr[idx][:, idx]
+    try:
+        inv = np.linalg.inv(sub)
+    except np.linalg.LinAlgError:
+        raise SingularCorrelationError(
+            f"correlation submatrix for ({i}, {j} | {tuple(given)}) is singular"
+        ) from None
+    denom = inv[0, 0] * inv[1, 1]
+    if not np.isfinite(denom) or denom <= 0:
+        raise SingularCorrelationError(
+            f"correlation submatrix for ({i}, {j} | {tuple(given)}) is ill-conditioned"
+        )
+    return float(-inv[0, 1] / math.sqrt(denom))
+
+
+def _reference_fisher_z(rho: float, dof: int) -> tuple[float, float]:
+    """Fisher-z statistic and p-value in scalar ``math`` calls, as ``stats._fisher_z``."""
+    clamped = min(max(rho, -1.0 + 1e-15), 1.0 - 1e-15)
+    stat = math.sqrt(dof) * math.atanh(clamped)
+    return stat, min(math.erfc(abs(stat) / math.sqrt(2.0)), 1.0)
+
+
+def reference_fisher_z_from_correlation(corr: np.ndarray, n: int, i: int, j: int, given):
+    """The Fisher-z test as written when each query inverted its own submatrix.
+
+    ``stats.fisher_z_from_correlation`` must return the same statistic,
+    p-value, dof and effect and raise the same errors, and
+    ``stats.fisher_z_batch`` the same p-values, with None where this raises.
+    """
+    from causaltab.errors import SampleTooSmallError
+    from causaltab.stats import TestResult
+
+    k = len(given)
+    if n - k - 3 <= 0:
+        raise SampleTooSmallError(f"need n > |S| + 3; n={n}, |S|={k}")
+    rho = _reference_partial_correlation(corr, i, j, given)
+    stat, p = _reference_fisher_z(rho, n - k - 3)
+    return TestResult(statistic=stat, p_value=p, dof=float(n - k - 3), effect=rho)
+
+
 def fisher_z_ci_test(x: str, y: str, given, m):
     """Gaussian conditional-independence test of x against y given a column set.
 
@@ -574,6 +621,19 @@ def reference_load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
     return Dataset(schema, {k: np.asarray(v) for k, v in data.items()})
 
 
+# -- graph queries ----------------------------------------------------------------
+
+def directed_edges(graph: MixedGraph) -> list[tuple[str, str]]:
+    """Fully directed pairs (src, dst) of ``graph``: tail at src, arrow at dst."""
+    out = []
+    for e in graph.edges():
+        if e.mark_u == TAIL and e.mark_v == ARROW:
+            out.append((e.u, e.v))
+        elif e.mark_v == TAIL and e.mark_u == ARROW:
+            out.append((e.v, e.u))
+    return out
+
+
 # -- linear Gaussian SEM ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -586,7 +646,7 @@ class LinearSEM:
 
     def __post_init__(self):
         topological_order(self.dag)  # raises CyclicGraphError when not a DAG
-        for src, dst in self.dag.directed_edges():
+        for src, dst in directed_edges(self.dag):
             if (src, dst) not in self.coefficients:
                 raise ValueError(f"edge {src!r}->{dst!r} has no coefficient")
         for n in self.dag.nodes:

@@ -38,6 +38,7 @@ from causaltab.synth import make_clinical_synth
 
 from oracles import (
     dag_vstructures,
+    directed_edges,
     enumerate_dags,
     reference_mixed_ci_test,
     sample_sem,
@@ -345,7 +346,7 @@ class TestOrientationRules:
                         true_edges.add((names[i], names[j]))
             view = dummy_view(names)
             res = run_fci(view, LearnConfig(), ci_test=oracle_ci_test(dag))
-            for src, dst in res.graph.directed_edges():
+            for src, dst in directed_edges(res.graph):
                 assert (src, dst) in true_edges
 
     def test_never_reverses_existing_arrowheads(self):

@@ -16,7 +16,7 @@ from causaltab.graph import (
     to_dot,
 )
 
-from oracles import bfs_within, d_separated, enumerate_dags, parse_dot
+from oracles import bfs_within, d_separated, directed_edges, enumerate_dags, parse_dot
 
 
 def path_graph():
@@ -42,7 +42,7 @@ class TestMixedGraph:
         g.add_edge("A", "B", mark_u=TAIL, mark_v=ARROW)
         assert g.mark_at("A", "B", at="A") == TAIL
         assert g.mark_at("B", "A", at="B") == ARROW
-        assert g.directed_edges() == [("A", "B")]
+        assert directed_edges(g) == [("A", "B")]
         assert g.children("A") == ("B",)
 
     def test_set_mark_is_endpoint_stable_regardless_of_order(self):

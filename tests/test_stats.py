@@ -31,7 +31,13 @@ from causaltab.stats import (
     point_biserial,
 )
 
-from oracles import fisher_exact_fraction, fisher_z_ci_test, pearson_r, reference_g_squared_test
+from oracles import (
+    fisher_exact_fraction,
+    fisher_z_ci_test,
+    pearson_r,
+    reference_fisher_z_from_correlation,
+    reference_g_squared_test,
+)
 
 mp.mp.dps = 30
 
@@ -335,6 +341,14 @@ def _p_or_none(kernel):
         return None
 
 
+def _result_or_error(kernel, corr, n, given):
+    """``kernel``'s result for (0, 1 | given), or the (type, message) of its package error."""
+    try:
+        return kernel(corr, n, 0, 1, given)
+    except CausalTabError as error:
+        return type(error), str(error)
+
+
 class TestBatchKernels:
     """The batch kernels give the one-set kernels' p-values bit for bit."""
 
@@ -400,13 +414,46 @@ class TestBatchKernels:
             size = draw % 5
             givens = list(itertools.combinations(range(2, 8), size))[: int(rng.integers(1, 33))]
             got = fisher_z_batch(corr, n, 0, 1, givens)
-            want = [fisher_z_from_correlation(corr, n, 0, 1, g).p_value for g in givens]
+            want = [reference_fisher_z_from_correlation(corr, n, 0, 1, g).p_value for g in givens]
             assert got == want, draw
 
     def test_fisher_z_batch_of_empty_sets(self):
         corr = np.corrcoef(np.random.default_rng(1104).standard_normal((50, 3)), rowvar=False)
-        want = fisher_z_from_correlation(corr, 50, 0, 2, ()).p_value
+        want = reference_fisher_z_from_correlation(corr, 50, 0, 2, ()).p_value
         assert fisher_z_batch(corr, 50, 0, 2, [()]) == [want]
+
+    def test_fisher_z_matches_reference(self):
+        rng = np.random.default_rng(1106)
+        too_small = 0
+        for draw in range(80):
+            n = int(rng.integers(5, 401))
+            data = rng.standard_normal((n, 7)) @ rng.standard_normal((7, 7))
+            corr = np.corrcoef(data, rowvar=False)
+            size = draw % 5
+            givens = list(itertools.combinations(range(2, 7), size))[: int(rng.integers(1, 11))]
+            for given in givens:
+                # TestResult equality compares statistic, p-value, dof and
+                # effect with ==
+                want = _result_or_error(reference_fisher_z_from_correlation, corr, n, given)
+                assert _result_or_error(fisher_z_from_correlation, corr, n, given) == want, draw
+                too_small += n - size - 3 <= 0
+            want_p = [
+                _p_or_none(lambda: reference_fisher_z_from_correlation(corr, n, 0, 1, g))
+                for g in givens
+            ]
+            assert fisher_z_batch(corr, n, 0, 1, givens) == want_p, draw
+        assert too_small > 0
+
+    def test_fisher_z_ill_conditioned_submatrix(self):
+        # symmetric with a unit diagonal but not positive definite: the
+        # inverse of the (0, 1, 2) submatrix has diagonal 1.048 and -2.167
+        corr = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 1.2], [0.3, 1.2, 1.0]])
+        message = "correlation submatrix for (0, 1 | (2,)) is ill-conditioned"
+        for kernel in (fisher_z_from_correlation, reference_fisher_z_from_correlation):
+            with pytest.raises(SingularCorrelationError) as info:
+                kernel(corr, 100, 0, 1, (2,))
+            assert str(info.value) == message
+        assert fisher_z_batch(corr, 100, 0, 1, [(2,)]) == [None]
 
     def test_fisher_z_batch_leaves_raising_sets_unanswered(self):
         rng = np.random.default_rng(1105)

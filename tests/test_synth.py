@@ -14,6 +14,7 @@ from oracles import (
     LinearSEM,
     NodeMismatchError,
     d_separated,
+    directed_edges,
     dsep_by_paths,
     enumerate_dags,
     sample_sem,
@@ -169,7 +170,7 @@ class TestTopologicalOrder:
     def test_respects_edges(self):
         g = clinical_truth_graph()
         order = {n: i for i, n in enumerate(topological_order(g))}
-        for s, t in g.directed_edges():
+        for s, t in directed_edges(g):
             assert order[s] < order[t]
 
 
@@ -248,5 +249,5 @@ class TestClinicalSynth:
         view = complete_cases(ds, list(truth.nodes))
         res = learn_skeleton(view, LearnConfig(), ci_test=oracle_ci_test(truth))
         learned = {frozenset((e.u, e.v)) for e in res.graph.edges()}
-        expected = {frozenset((s, t)) for s, t in truth.directed_edges()}
+        expected = {frozenset((s, t)) for s, t in directed_edges(truth)}
         assert learned == expected
