@@ -25,7 +25,6 @@ from .pipeline import (
     write_step2,
     write_step3,
 )
-from .synth import make_clinical_synth
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -147,6 +146,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "synth":
+        from .synth import make_clinical_synth
+
         dataset, truth = make_clinical_synth(args.seed)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

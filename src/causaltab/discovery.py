@@ -110,8 +110,9 @@ def mixed_ci_test(view: DatasetView) -> CITest:
     nothing and raises again when repeated.
 
     Its batch path, ``prefetch(x, y, subsets)``, answers a chunk of one
-    pair's sets of one level into the memo with one batched kernel call
-    per kind, bit-identical to the one-query kernels. The searches then
+    pair's sets of one level into the memo with one call per kind of the
+    batch kernel, of which each one-query test is a batch of one, so the
+    p-values are those of asking one at a time. The searches then
     ask each set as before, so decisions and ``tests_run`` do not change,
     and a set whose kernel would raise raises only when asked.
     """
@@ -172,8 +173,9 @@ class _MixedCITest:
     def prefetch(self, x: str, y: str, subsets: list[tuple[str, ...]]) -> None:
         """Answer (x, y, S) for every S in ``subsets`` into the memo, in batches.
 
-        The sets must all have one size. Sets already answered are skipped,
-        and a chunk that names a column outside the view is left to the
+        The sets must all have one size. Sets already answered are skipped;
+        the rest, a lone set of a kind included, go to their kind's batch
+        kernel. A chunk that names a column outside the view is left to the
         one-query path, which raises.
         """
         answered = self.answered
@@ -185,11 +187,7 @@ class _MixedCITest:
                     (g2 if self._uses_g2(x, y, s) else fz).append(s)
         except UnknownColumnError:
             return
-        found = []
-        # a lone G^2 set is left to g_squared_test, which answers it 20-40%
-        # faster than a batch of one on the benchmark's wide table
-        if len(g2) > 1:
-            found += zip(g2, g_squared_batch(x, y, g2, self.view))
+        found = list(zip(g2, g_squared_batch(x, y, g2, self.view))) if g2 else []
         if fz:
             try:
                 corr, index = self._correlation()

@@ -1,7 +1,8 @@
 """Statistical primitives: tail functions, CI tests, exact tests, OLS.
 
 All operations are pure and deterministic; repeated calls on identical
-inputs are bit-identical.
+inputs are bit-identical. Each CI test has one kernel, over a batch of
+conditioning sets of one size; a single test is a batch of one.
 """
 
 from __future__ import annotations
@@ -80,13 +81,21 @@ class ContingencyTable2x2:
         return self.a + self.b + self.c + self.d
 
 
-def chisq_sf(x: float, dof: float) -> float:
-    """Chi-square survival function P(X > x) with ``dof`` degrees of freedom."""
-    if x < 0:
-        raise DomainError(f"chisq_sf: x must be >= 0, got {x}")
+def chisq_sf(x: float | np.ndarray, dof: float) -> float | np.ndarray:
+    """Chi-square survival function P(X > x) with ``dof`` degrees of freedom.
+
+    ``x`` may be an array, which gives an array of the same shape:
+    ``gammaincc`` is one ufunc, so each entry equals the scalar call's.
+    """
+    x = np.asarray(x, dtype=float)
+    # one ufunc reduction rather than (x < 0).any(): a G^2 batch checks its
+    # statistics here, and on small batches numpy's per-call cost dominates
+    if np.minimum.reduce(x, axis=None, initial=0.0) < 0:
+        raise DomainError(f"chisq_sf: x must be >= 0, got {np.min(x)}")
     if dof <= 0:
         raise DomainError(f"chisq_sf: dof must be > 0, got {dof}")
-    return float(gammaincc(dof / 2.0, x / 2.0))
+    sf = gammaincc(dof / 2.0, x / 2.0)
+    return float(sf) if sf.ndim == 0 else sf
 
 
 def _partial_correlations(
@@ -197,40 +206,14 @@ def g_squared_test(
     of ``given``; zero-observed cells contribute 0. Degrees of freedom are
     (|x|-1)(|y|-1)*prod(|s|): empty strata are skipped without reducing dof.
 
-    Codes come from ``view.categorical_codes``, decoded once per view, so a
-    call only builds and scores the table. A column missing from that
-    mapping (continuous, incomplete or outside the view) raises
-    NotCategoricalError, UnknownColumnError or IncompleteViewError.
+    A batch of one for the G^2 kernel. A column that is no complete
+    categorical column of the view raises NotCategoricalError,
+    UnknownColumnError or IncompleteViewError.
     """
-    names = [x, y, *given]
-    decoded = view.categorical_codes
-    try:
-        columns = [decoded[name] for name in names]
-    except KeyError:
-        _raise_unfit_for_g2(names, view)
-    (cx, kx), (cy, ky) = columns[0], columns[1]
-
-    # mixed-radix cell index (stratum, x, y), stratum digits in ``given`` order
-    flat = cx * ky + cy
-    if given:
-        strata = columns[2][0]
-        for c, k in columns[3:]:
-            strata = strata * k + c
-        flat = strata * (kx * ky) + flat
-    n_strata = math.prod(k for _, k in columns[2:])
-    table = np.bincount(flat, minlength=n_strata * kx * ky).reshape(n_strata, kx, ky)
-
-    totals = table.sum(axis=(1, 2), keepdims=True).astype(float)
-    row = table.sum(axis=2, keepdims=True).astype(float)
-    col = table.sum(axis=1, keepdims=True).astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        expected = row * col / totals
-        terms = np.where(table > 0, table * np.log(table / expected), 0.0)
-    # terms holds no NaN (a non-empty cell has positive margins), so this is
-    # the pairwise sum np.nansum would take
-    g2 = max(0.0, 2.0 * float(terms.sum()))
-    dof = (kx - 1) * (ky - 1) * n_strata
-    return TestResult(statistic=g2, p_value=min(chisq_sf(g2, dof), 1.0), dof=float(dof))
+    (scored,) = _g_squared_scores(x, y, [given], view)
+    if scored is None:
+        _raise_unfit_for_g2([x, y, *given], view)
+    return TestResult(*scored)
 
 
 def g_squared_batch(
@@ -238,16 +221,25 @@ def g_squared_batch(
 ) -> list[float | None]:
     """P-values of ``g_squared_test(x, y, g, view)`` for each g in ``givens``.
 
-    The sets must all have one size. Their tables are counted by one
-    ``bincount`` and scored in one vectorized pass, with every stratum of
-    every set side by side on the last axis. Each set's terms are then
-    summed as one contiguous row in ``g_squared_test``'s cell order, so
-    each p-value is bit-identical to the one-set kernel's. An entry is
-    None where that kernel would raise: for a set naming a column that is
-    not a complete categorical column of the view.
+    The sets must all have one size. An entry is None where that test raises.
+    """
+    return [None if res is None else res[1] for res in _g_squared_scores(x, y, givens, view)]
+
+
+def _g_squared_scores(
+    x: str, y: str, givens: Sequence[Sequence[str]], view: DatasetView
+) -> list[tuple[float, float, float] | None]:
+    """The G^2 kernel: (statistic, p-value, dof) of x, y given each set of ``givens``.
+
+    Codes come from ``view.categorical_codes``, decoded once per view, and
+    an entry is None for a set naming a column missing from it. The tables are counted by
+    one ``bincount`` and scored in one vectorized pass, with every stratum
+    of every set side by side on the last axis. Each set's terms are then
+    summed as one contiguous row in (stratum, x, y) order, and the tail is
+    taken once per run of sets with equal strata counts.
     """
     size = _one_size(givens)
-    out: list[float | None] = [None] * len(givens)
+    out: list[tuple[float, float, float] | None] = [None] * len(givens)
     decoded = view.categorical_codes
     if x not in decoded or y not in decoded:
         return out
@@ -264,8 +256,8 @@ def g_squared_batch(
         return out
     sets = [givens[q] for _, q in jobs]
     # cell (x, y, stratum s of the i-th set) counts at [x, y, first[i] + s],
-    # where s is g_squared_test's mixed-radix stratum index: the sum of each
-    # digit times the product of the radices after it
+    # where s is the mixed-radix stratum index: the sum of each digit times
+    # the product of the radices after it, digits in the set's order
     first = list(accumulate((n_strata for n_strata, _ in jobs), initial=0))
     width = first.pop()
     flat = np.add.outer(np.array(first), (cx * ky + cy) * width)
@@ -279,23 +271,25 @@ def g_squared_batch(
     table = np.bincount(flat.ravel(), minlength=kx * ky * width).reshape(kx, ky, width)
 
     # the margins and r*c are exact integers, so each cell takes the same
-    # floating-point steps as in g_squared_test
+    # floating-point steps as with float margins
     row = table.sum(axis=1)
     col = table.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         expected = row[:, None] * col[None] / row.sum(axis=0)
         terms = np.where(table > 0, table * np.log(table / expected), 0.0)
-    # back to g_squared_test's order: stratum, then x, then y
+    # terms holds no NaN (a non-empty cell has positive margins). Each set's
+    # row is summed pairwise in (stratum, x, y) order, as np.nansum would
     terms = np.ascontiguousarray(terms.reshape(kx * ky, width).T)
     start = 0
     for n_strata, run in groupby(jobs, key=lambda job: job[0]):
         queries = [q for _, q in run]
         stop = start + len(queries) * n_strata
-        sums = terms[start:stop].reshape(len(queries), -1).sum(axis=1)
+        g2 = np.maximum(2.0 * terms[start:stop].reshape(len(queries), -1).sum(axis=1), 0.0)
         start = stop
-        dof = (kx - 1) * (ky - 1) * n_strata
-        for q, total in zip(queries, sums.tolist()):
-            out[q] = min(chisq_sf(max(0.0, 2.0 * total), dof), 1.0)
+        dof = float((kx - 1) * (ky - 1) * n_strata)
+        p = np.minimum(chisq_sf(g2, dof), 1.0)
+        for q, stat, p_value in zip(queries, g2.tolist(), p.tolist()):
+            out[q] = stat, p_value, dof
     return out
 
 

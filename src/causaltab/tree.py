@@ -249,13 +249,18 @@ def _grow(
                 order = order.compress(keep.ravel()).reshape(n_features, sum(counts))
             found = _best_split(values, is0, order)
         searched[at] = counts, found
-        if found is not None:
-            j, thr, rows_left, c0_left = found
+        if found is None:
+            continue
+        j, thr, rows_left, c0_left = found
+        left = (c0_left, rows_left - c0_left)
+        right = (counts[0] - left[0], counts[1] - left[1])
+        if depth < max_depth and (all(left) or all(right)):
             goes_left = (XT[j] <= thr).take(row_of.take(order))
-            left = (c0_left, rows_left - c0_left)
-            right = (counts[0] - left[0], counts[1] - left[1])
             stack.append((2 * at + 1, order, goes_left, left, depth + 1))
             stack.append((2 * at + 2, order, ~goes_left, right, depth + 1))
+        else:  # neither child is searched, so neither needs its rows
+            searched[2 * at + 1] = left, None
+            searched[2 * at + 2] = right, None
     nodes: dict[int, TreeNode] = {}
     for at in sorted(searched, reverse=True):
         counts, found = searched[at]

@@ -552,6 +552,19 @@ class TestBatchedCiTest:
         reference = reference_mixed_ci_test(view)
         assert all(p == reference(*query) for query, p in test.answered.items())
 
+    def test_chunk_with_one_pending_g2_set(self, monkeypatch):
+        # the first set is answered by a single query, so the chunk leaves
+        # one G^2 set for the batch kernel
+        view = wide_category_view("exam")
+        x, y, z, w = [c for c in view.columns if c in view.categorical_codes][:4]
+        test = discovery.mixed_ci_test(view)
+        test(x, y, (z,))
+        calls = count_batch_calls(monkeypatch)
+        test.prefetch(x, y, [(z,), (w,)])
+        assert calls == {"g2": 1, "fisher_z": 0}
+        assert set(test.answered) == {(x, y, (z,)), (x, y, (w,))}
+        assert test.answered[(x, y, (w,))] == reference_mixed_ci_test(view)(x, y, (w,))
+
     def test_chunk_of_both_kinds(self, monkeypatch):
         # a categorical pair given single columns of either kind: the
         # chunk splits into a G^2 batch and a Fisher-z batch

@@ -12,7 +12,7 @@ PACKAGE = REPO / "src" / "causaltab"
 
 def test_library_import_leaves_the_test_harness_unloaded():
     code = (
-        "import sys, causaltab, causaltab.pipeline, causaltab.discovery; "
+        "import sys, causaltab, causaltab.pipeline, causaltab.discovery, causaltab.cli; "
         "sys.exit('causaltab.synth' in sys.modules)"
     )
     done = subprocess.run(

@@ -4,6 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from causaltab.data import ColumnSchema, Dataset, complete_cases, standardize
 from causaltab.errors import (
@@ -20,6 +21,7 @@ from causaltab.errors import (
 )
 from causaltab.stats import (
     ContingencyTable2x2,
+    _g_squared_scores,
     chisq_sf,
     fisher_exact,
     fisher_z_batch,
@@ -75,6 +77,25 @@ class TestChisqSf:
             chisq_sf(-1.0, 2)
         with pytest.raises(DomainError):
             chisq_sf(1.0, 0)
+        with pytest.raises(DomainError, match="got -0.5"):
+            chisq_sf(np.array([1.0, -0.5, 2.0]), 2)
+
+    def test_array_matches_scalar_calls(self):
+        # zero, subnormal and huge statistics, and a sweep between them
+        xs = np.concatenate([
+            [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-12, 3.841459],
+            np.logspace(-3, 3, 61),
+            [1e4, 1e100, 1e300, 1.7976931348623157e308, np.inf],
+        ])
+        for dof in [*range(1, 300), 0.5, 7.5]:
+            got = chisq_sf(xs, dof)
+            assert isinstance(got, np.ndarray) and got.shape == xs.shape
+            scalar = [chisq_sf(x, dof) for x in xs.tolist()]
+            assert got.tolist() == scalar, dof
+            # the scalar call is the gammaincc expression on Python floats
+            assert scalar == [float(gammaincc(dof / 2.0, x / 2.0)) for x in xs.tolist()], dof
+        assert chisq_sf(np.array(4.0), 3) == chisq_sf(4.0, 3)
+        assert isinstance(chisq_sf(np.array(4.0), 3), float)
 
 
 class TestFisherZ:
@@ -350,9 +371,12 @@ def _result_or_error(kernel, corr, n, given):
 
 
 class TestBatchKernels:
-    """The batch kernels give the one-set kernels' p-values bit for bit."""
+    """The batch kernels give the frozen one-set references' answers bit for bit."""
 
     def test_g_squared_batch_matches_one_set_kernel(self):
+        # the kernel's statistic, p-value and dof for lone sets and for
+        # batches mixing strata counts, and g_squared_batch's p-values,
+        # against the one-set reference written before the batch kernel
         rng = np.random.default_rng(1101)
         several_strata_counts = 0
         for draw in range(120):
@@ -370,9 +394,11 @@ class TestBatchKernels:
             view = Dataset(schema, columns).view()
             size = draw % 4
             givens = list(itertools.combinations(names[2:], size))[: int(rng.integers(1, 33))]
-            got = g_squared_batch("x", "y", givens, view)
-            want = [g_squared_test("x", "y", g, view).p_value for g in givens]
-            assert got == want, draw
+            want = [reference_g_squared_test("x", "y", g, view) for g in givens]
+            want = [(res.statistic, res.p_value, res.dof) for res in want]
+            assert _g_squared_scores("x", "y", givens, view) == want, draw
+            assert _g_squared_scores("x", "y", givens[:1], view) == want[:1], draw
+            assert g_squared_batch("x", "y", givens, view) == [w[1] for w in want], draw
             levels = {c.name: c.n_levels for c in schema}
             counts = {math.prod(levels[c] for c in g) for g in givens}
             several_strata_counts += len(counts) > 1
@@ -401,7 +427,7 @@ class TestBatchKernels:
         got = g_squared_batch("a", "b", givens, view)
         assert got[1:4] == [None, None, None]
         for given, p in zip(givens, got):
-            assert p == _p_or_none(lambda: g_squared_test("a", "b", given, view))
+            assert p == _p_or_none(lambda: reference_g_squared_test("a", "b", given, view))
         assert g_squared_batch("lab", "a", [("c",), ("b",)], view) == [None, None]
 
     def test_fisher_z_batch_matches_one_set_kernel(self):
