@@ -95,7 +95,7 @@ class TooFewRowsError(CausalTabError):
 
 
 class ExhaustedDrawsError(CausalTabError):
-    """Could not draw a feature set matching the target row count."""
+    """The pool holds too few features, or no draw matched the target row count."""
 
 
 # --- pipeline -------------------------------------------------------------

@@ -294,7 +294,8 @@ def step1_per_category(
         if not cols:
             continue
         view, dropped = _analysis_view(dataset, cols, outcome)
-        if view.n_rows < config.min_rows or outcome not in view.columns:
+        # too few rows, a constant outcome, or no feature left beside the outcome
+        if view.n_rows < config.min_rows or outcome not in view.columns or len(view.columns) < 2:
             continue
         fci = run_fci(view, config.learn_config(), _prior_for(config.prior, view.columns), ci_test)
         graph = annotate_strengths(fci.graph, effect_table(view, fci.graph, outcome))

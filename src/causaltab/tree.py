@@ -443,7 +443,7 @@ def permutation_baseline(
     """
     pool = sorted(set(pool), key=dataset.column_index)
     if len(pool) < n_features:
-        raise ValueError(f"pool of {len(pool)} cannot supply {n_features} features")
+        raise ExhaustedDrawsError(f"pool of {len(pool)} cannot supply {n_features} features")
     trials = []
     for t in range(n_trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))

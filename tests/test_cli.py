@@ -9,6 +9,7 @@ import pytest
 
 import causaltab
 from causaltab.cli import main
+from causaltab.data import ColumnSchema, Dataset, load_csv
 from causaltab.synth import make_clinical_synth
 
 
@@ -209,6 +210,14 @@ def test_bad_config_value_fails_before_any_step(cohort_dir, tmp_path, capsys, fl
     assert not (tmp_path / "x").exists()
 
 
+def test_permutation_features_beyond_the_pool_is_one_line_error(cohort_dir, tmp_path, capsys):
+    # the seed-1 cohort's permutation pool holds its 44 features
+    argv = ["run", *_data_args(cohort_dir), "--permutation-features", "45",
+            "--permutation-trials", "5", "--out", str(tmp_path / "x")]
+    assert "pool of 44 cannot supply 45 features" in _one_line_error(capsys, argv)
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, payload, field",
     [
@@ -279,8 +288,6 @@ def test_step_error_exits_with_one_line_message(cohort_dir, tmp_path):
 
 def test_run_with_no_selected_feature_writes_step1_report(tmp_path):
     # seeded noise: no feature lies within two hops of the outcome
-    from causaltab.data import ColumnSchema, Dataset
-
     rng = np.random.default_rng(0)
     schema = [
         ColumnSchema("LAB_A", "continuous", "labs"),
@@ -310,3 +317,91 @@ def test_run_with_no_selected_feature_writes_step1_report(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [
         "category_history.dot", "category_labs.dot", "report.json"
     ]
+
+
+PATHOLOGIES = (
+    "binary-with-one-positive",
+    "all-missing-column",
+    "category-of-30-complete-rows",
+    "category-of-three-noise-columns",
+    "unobserved-ordinal-level",
+    "integer-lab-with-heavy-ties",
+    "derived-comorbidity-count",
+    "category-of-constants",
+    "copy-of-bun-in-its-own-category",
+    "affine-copy-of-age",
+    "copy-of-outcome",
+    "ordinal-outcome-with-a-third-code",
+    "category-below-min-rows",
+)
+
+
+def _pathology_table(ds: Dataset, name: str) -> Dataset:
+    """The cohort with one pathology; a column named OUTCOME replaces the outcome."""
+    n = ds.n_rows
+    rng = np.random.default_rng(0)
+
+    def binary(col, category):
+        return ColumnSchema(col, "binary", category, levels=("0", "1"))
+
+    def continuous(col, category):
+        return ColumnSchema(col, "continuous", category)
+
+    def observed(rows):  # noise observed on the first ``rows`` rows only
+        return np.where(np.arange(n) < rows, rng.standard_normal(n), np.nan)
+
+    outcome = ds.coded("OUTCOME").copy()
+    outcome[np.flatnonzero(outcome == 1)[:20]] = 2
+    prior_diseases = [c.name for c in ds.schema if c.category == "prior_diseases"]
+    added = {
+        "binary-with-one-positive": [(binary("RARE", "prior_diseases"), np.arange(n) == 0)],
+        "all-missing-column": [(continuous("UNMEASURED", "blood"), np.full(n, np.nan))],
+        "category-of-30-complete-rows": [
+            (continuous(f"R{i}", "research"), observed(30)) for i in range(2)
+        ],
+        "category-of-three-noise-columns": [
+            (continuous(f"NOISE{i}", "noise"), rng.standard_normal(n)) for i in range(3)
+        ],
+        "unobserved-ordinal-level": [
+            (ColumnSchema("STAGE", "ordinal", "symptoms", levels=("0", "1", "2", "3")),
+             rng.integers(0, 3, n)),
+        ],
+        "integer-lab-with-heavy-ties": [(continuous("TIES", "blood"), rng.integers(0, 3, n))],
+        "derived-comorbidity-count": [
+            (continuous("COMORBIDITIES", "prior_diseases"), sum(ds.coded(c) for c in prior_diseases)),
+        ],
+        "category-of-constants": [(binary("NEW_DRUG", "trial_drug"), np.zeros(n))],
+        "copy-of-bun-in-its-own-category": [(continuous("BUN_COPY", "copies"), ds.coded("BUN"))],
+        "affine-copy-of-age": [(continuous("AGE_MONTHS", "demographic"), 12 * ds.coded("AGE") + 6)],
+        "copy-of-outcome": [(binary("OUTCOME_COPY", "symptoms"), ds.coded("OUTCOME"))],
+        "ordinal-outcome-with-a-third-code": [
+            (ColumnSchema("OUTCOME", "ordinal", "outcome", levels=("0", "1", "2")), outcome),
+        ],
+        "category-below-min-rows": [(continuous(f"S{i}", "small"), observed(15)) for i in range(2)],
+    }[name]
+    schema = {c.name: c for c in ds.schema}
+    coded = {c.name: ds.coded(c.name) for c in ds.schema}
+    for column, values in added:
+        schema[column.name] = column
+        coded[column.name] = values
+    return Dataset(list(schema.values()), coded)
+
+
+@pytest.mark.parametrize("pathology", PATHOLOGIES)
+def test_pathology_gives_a_report_or_one_line_error(cohort_dir, tmp_path, capsys, pathology):
+    ds = _pathology_table(
+        load_csv(cohort_dir / "cohort.csv", cohort_dir / "cohort.schema.json"), pathology
+    )
+    ds.write_csv(tmp_path / "table.csv")
+    ds.write_schema(tmp_path / "table.schema.json")
+    out = tmp_path / "out"
+    status = main([
+        "run", "--data", str(tmp_path / "table.csv"), "--schema", str(tmp_path / "table.schema.json"),
+        "--seed", "1", "--permutation-trials", "5", "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    if status == 0:
+        assert (out / "report.json").is_file()
+    else:
+        assert status == 1
+        assert err.startswith("causaltab: ") and err.count("\n") == 1, err

@@ -106,6 +106,26 @@ class TestStep1:
         assert by_cat["noise"].selected == ()
         assert "S" in result.selected_features
 
+    def test_category_left_with_no_feature_is_skipped(self):
+        # a treatment nobody received: dropped as constant, it leaves its
+        # category's view with the outcome alone
+        rng = np.random.default_rng(0)
+        n = 300
+        schema = [
+            ColumnSchema("S", "continuous", "signal"),
+            ColumnSchema("DRUG", "binary", "treatments", levels=("0", "1")),
+            ColumnSchema("OUTCOME", "binary", "outcome", levels=("0", "1")),
+        ]
+        latent = rng.standard_normal(n)
+        cols = {
+            "S": latent + 0.5 * rng.standard_normal(n),
+            "DRUG": np.zeros(n),
+            "OUTCOME": (latent > 0).astype(float),
+        }
+        result = step1_per_category(Dataset(schema, cols), QUIET)
+        assert [c.category for c in result.per_category] == ["signal"]
+        assert result.selected_features == ("S",)
+
     def test_prior_forbidding_direct_edge_drops_unreachable_feature(self):
         rng = np.random.default_rng(1)
         n = 400
