@@ -246,7 +246,9 @@ class DatasetView:
     """Read-only index overlay selecting rows and columns of a Dataset.
 
     ``categorical_codes`` decodes the view's complete categorical columns
-    once, on first use, for the categorical CI tests that run on the view.
+    once, on first use, for the categorical CI tests that run on the view,
+    and ``standardized`` standardizes the view once, for its Fisher-z
+    tests and effect regressions.
     """
 
     source: Dataset
@@ -276,9 +278,8 @@ class DatasetView:
             return np.empty((self.n_rows, 0))
         return np.column_stack([self.coded(c) for c in cols])
 
-    def is_complete(self, columns: Sequence[str] | None = None) -> bool:
-        cols = tuple(columns) if columns is not None else self.columns
-        return all(not np.isnan(self.coded(c)).any() for c in cols)
+    def is_complete(self) -> bool:
+        return all(not np.isnan(self.coded(c)).any() for c in self.columns)
 
     @cached_property
     def categorical_codes(self) -> dict[str, tuple[np.ndarray, int]]:
@@ -298,6 +299,11 @@ class DatasetView:
             codes.flags.writeable = False
             out[name] = (codes, sch.n_levels)
         return out
+
+    @cached_property
+    def standardized(self) -> StandardizedMatrix:
+        """``standardize(self)``, computed on first use; raises as that does."""
+        return standardize(self)
 
 
 def complete_cases(dataset: Dataset, columns: Sequence[str]) -> DatasetView:
@@ -330,10 +336,10 @@ class StandardizedMatrix:
         return self.matrix[:, self.index(name)]
 
 
-def standardize(view: DatasetView, columns: Sequence[str] | None = None) -> StandardizedMatrix:
-    """Center and scale each selected column to sample mean 0, sd 1 (n-1 denominator)."""
-    cols = tuple(columns) if columns is not None else view.columns
-    mat = view.matrix(cols)
+def standardize(view: DatasetView) -> StandardizedMatrix:
+    """Center and scale each column of the view to sample mean 0, sd 1 (n-1 denominator)."""
+    cols = view.columns
+    mat = view.matrix()
     if np.isnan(mat).any():
         bad = [c for j, c in enumerate(cols) if np.isnan(mat[:, j]).any()]
         raise IncompleteViewError(f"missing cells in columns {bad}; take complete cases first")

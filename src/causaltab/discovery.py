@@ -11,15 +11,17 @@ be substituted for validation runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .data import DatasetView, standardize
+from .data import DatasetView
 from .errors import (
     CausalTabError,
     IncompleteViewError,
+    SingularCorrelationError,
     UnknownColumnError,
     UnknownNodeError,
 )
@@ -131,16 +133,11 @@ class _MixedCITest:
         self.view = view
         self.categorical = {c: view.schema_for(c).is_categorical for c in view.columns}
         self.answered: dict[tuple[str, str, tuple[str, ...]], float] = {}
-        self._corr: tuple[np.ndarray, dict[str, int]] | None = None
 
+    @cached_property
     def _correlation(self) -> tuple[np.ndarray, dict[str, int]]:
-        if self._corr is None:
-            std = standardize(self.view)
-            self._corr = (
-                np.corrcoef(std.matrix, rowvar=False),
-                {c: i for i, c in enumerate(std.columns)},
-            )
-        return self._corr
+        std = self.view.standardized
+        return np.corrcoef(std.matrix, rowvar=False), {c: i for i, c in enumerate(std.columns)}
 
     def __call__(self, x: str, y: str, given: tuple[str, ...]) -> float:
         key = (x, y, given)
@@ -152,10 +149,17 @@ class _MixedCITest:
     def _p_value(self, x: str, y: str, given: tuple[str, ...]) -> float:
         if self._uses_g2(x, y, given):
             return g_squared_test(x, y, given, self.view).p_value
-        corr, index = self._correlation()
-        res = fisher_z_from_correlation(
-            corr, self.view.n_rows, index[x], index[y], [index[s] for s in given]
-        )
+        corr, index = self._correlation
+        try:
+            res = fisher_z_from_correlation(
+                corr, self.view.n_rows, index[x], index[y], [index[s] for s in given]
+            )
+        except SingularCorrelationError as exc:
+            # the kernel names matrix indices; name the columns instead
+            condition = str(exc).rpartition(" is ")[2]
+            raise SingularCorrelationError(
+                f"correlation submatrix for ({x!r}, {y!r} | {given}) is {condition}"
+            ) from None
         return res.p_value
 
     def _uses_g2(self, x: str, y: str, given: tuple[str, ...]) -> bool:
@@ -190,7 +194,7 @@ class _MixedCITest:
         found = list(zip(g2, g_squared_batch(x, y, g2, self.view))) if g2 else []
         if fz:
             try:
-                corr, index = self._correlation()
+                corr, index = self._correlation
             except CausalTabError:
                 pass  # raised again by the first query that asks
             else:
@@ -561,15 +565,13 @@ def _rule4(g: MixedGraph, sepsets: SepSetStore) -> bool:
     return changed
 
 
-def apply_orientation_rules(
-    g: MixedGraph, sepsets: SepSetStore | None = None
-) -> MixedGraph:
+def apply_orientation_rules(g: MixedGraph, sepsets: SepSetStore) -> MixedGraph:
     """Propagate the standard orientation rules (R1-R4) to a fixpoint.
 
     Only circle marks are ever modified, so existing arrowheads are never
     reversed; fully directed edges are only added when they close no
-    directed cycle. R4 needs sepsets to decide its branches and is skipped
-    when none are supplied.
+    directed cycle. R4 reads ``sepsets`` to decide its branches, and skips
+    a discriminating path whose end points have no recorded sepset.
     """
     out = g.copy()
     changed = True
@@ -578,8 +580,7 @@ def apply_orientation_rules(
         changed |= _rule1(out)
         changed |= _rule2(out)
         changed |= _rule3(out)
-        if sepsets is not None:
-            changed |= _rule4(out, sepsets)
+        changed |= _rule4(out, sepsets)
     return out
 
 
@@ -591,9 +592,9 @@ def run_fci(
 ) -> FciResult:
     """Full constraint-based run: skeleton, v-structures, pd-sep stage, rules.
 
-    Both search stages share one CI test, so the default test standardizes
-    the view once and answers a query the pd-sep stage repeats from its
-    memo.
+    Both search stages share one CI test, so the default test builds the
+    view's correlation matrix once and answers a query the pd-sep stage
+    repeats from its memo.
     """
     config = config or LearnConfig()
     ci = ci_test or mixed_ci_test(view)

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .data import DatasetView, StandardizedMatrix, standardize
+from .data import DatasetView
 from .errors import NotAdjacentError, UnknownNodeError
 from .graph import ARROW, CIRCLE, MixedGraph
 from .stats import ols
@@ -73,22 +73,16 @@ def enumerate_parent_sets(g: MixedGraph, x: str) -> list[frozenset[str]]:
     return out
 
 
-def estimate_effect(
-    view: DatasetView,
-    g: MixedGraph,
-    x: str,
-    y: str,
-    std: StandardizedMatrix | None = None,
-) -> EffectEstimate:
+def estimate_effect(view: DatasetView, g: MixedGraph, x: str, y: str) -> EffectEstimate:
     """Average standardized regression coefficient of x on y over parent sets of x.
 
     A parent set containing y contributes 0 (y cannot then be downstream
-    of x). Data are standardized before regression so effects compare
+    of x). The regressions read ``view.standardized``, so effects compare
     across variable scales.
     """
     if not g.has_edge(x, y):
         raise NotAdjacentError(f"{x!r} and {y!r} are not adjacent")
-    std = std or standardize(view)
+    std = view.standardized
     yv = std.column(y)
     xv = std.column(x)
     effects = []
@@ -108,19 +102,14 @@ def estimate_effect(
 
 
 def _edge_direction(
-    view: DatasetView,
-    g: MixedGraph,
-    u: str,
-    v: str,
-    outcome: str | None,
-    std: StandardizedMatrix,
+    view: DatasetView, g: MixedGraph, u: str, v: str, outcome: str | None
 ) -> tuple[EffectEstimate, EffectEstimate | None]:
     """(displayed estimate, other-direction estimate or None)."""
-    if outcome is not None and outcome in (u, v):
+    if outcome in (u, v):
         src, dst = (u, v) if v == outcome else (v, u)
-        return estimate_effect(view, g, src, dst, std), None
-    fwd = estimate_effect(view, g, u, v, std)
-    rev = estimate_effect(view, g, v, u, std)
+        return estimate_effect(view, g, src, dst), None
+    fwd = estimate_effect(view, g, u, v)
+    rev = estimate_effect(view, g, v, u)
     if abs(rev.mean_effect) > abs(fwd.mean_effect):
         return rev, fwd
     return fwd, rev
@@ -135,10 +124,9 @@ def effect_table(
     feature-on-outcome; other edges display whichever direction has the
     larger absolute mean effect.
     """
-    std = standardize(view, [c for c in view.columns if c in set(g.nodes)])
     rows = []
     for e in g.edges():
-        shown, other = _edge_direction(view, g, e.u, e.v, outcome, std)
+        shown, other = _edge_direction(view, g, e.u, e.v, outcome)
         record = {
             "edge": sorted((e.u, e.v)),
             "displayed": asdict(shown),

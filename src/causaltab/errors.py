@@ -101,4 +101,4 @@ class ExhaustedDrawsError(CausalTabError):
 # --- pipeline -------------------------------------------------------------
 
 class NoFeatureError(CausalTabError):
-    """A pipeline step was left with no feature to analyse."""
+    """A pipeline step has nothing left to analyse: no feature, or a constant outcome."""

@@ -20,7 +20,7 @@ import numpy as np
 from .data import KIND_BINARY, OUTCOME_CATEGORY, Dataset, DatasetView, complete_cases, summarize
 from .discovery import CITest, LearnConfig, run_fci
 from .effects import annotate_strengths, effect_table
-from .errors import CausalTabError, NoFeatureError
+from .errors import NoFeatureError
 from .graph import MixedGraph, PriorKnowledge, neighbors_within, to_dot
 from .stats import (
     ContingencyTable2x2,
@@ -321,7 +321,10 @@ def step1_per_category(
 
 
 def _bivariate_rows(dataset: Dataset, features: Sequence[str], outcome: str) -> list[dict]:
-    """Pairwise-complete bivariate tests of each feature against the outcome, as report rows."""
+    """Pairwise-complete bivariate tests of each feature against the outcome, as report rows.
+
+    As in the tree, outcome code 0 (death) is one class and every other code the other.
+    """
     base_view = complete_cases(dataset, [outcome])
     base_codes = base_view.coded(outcome)
     base_death = float((base_codes == 0).mean())
@@ -331,13 +334,13 @@ def _bivariate_rows(dataset: Dataset, features: Sequence[str], outcome: str) -> 
         sch = dataset.schema_for(feat)
         pair = complete_cases(dataset, [feat, outcome])
         fvals = pair.coded(feat)
-        ovals = pair.coded(outcome)
+        death = pair.coded(outcome) == 0
         if sch.kind == KIND_BINARY:
             present = fvals == 1
-            a = int(((ovals == 0) & present).sum())
-            b = int(((ovals == 1) & present).sum())
-            c = int(((ovals == 0) & ~present).sum())
-            d = int(((ovals == 1) & ~present).sum())
+            a = int((death & present).sum())
+            b = int((~death & present).sum())
+            c = int((death & ~present).sum())
+            d = int((~death & ~present).sum())
             test, res = "fisher_exact", fisher_exact(ContingencyTable2x2(a, b, c, d))
             n_with = a + b
             rate_death = a / n_with if n_with else 0.0
@@ -361,7 +364,7 @@ def _bivariate_rows(dataset: Dataset, features: Sequence[str], outcome: str) -> 
             }
         else:
             # continuous and multi-level ordinal features: point-biserial on codes
-            test, res = "point_biserial", point_biserial((ovals == 1).astype(float), fvals)
+            test, res = "point_biserial", point_biserial((~death).astype(float), fvals)
             extra = {}
         rows.append(
             {
@@ -389,7 +392,7 @@ def step2_integrated(
     outcome = _resolve_outcome(dataset, config)
     view, dropped = _analysis_view(dataset, selected, outcome)
     if outcome not in view.columns:
-        raise CausalTabError("outcome is constant on the joint complete cases")
+        raise NoFeatureError("outcome is constant on the joint complete cases")
     if len(view.columns) == 1:
         raise NoFeatureError(
             f"every selected feature is constant on the joint complete cases: {', '.join(dropped)}"
@@ -470,9 +473,9 @@ def run_full(
 ) -> PipelineReport:
     """Steps 1 to 3, skipping steps 2 and 3 when step 1 selects no feature.
 
-    Steps 2 and 3 are also skipped when every selected feature is constant
-    on the rows where all of them are observed, and step 3 alone when the
-    step-2 tree uses no feature.
+    Steps 2 and 3 are also skipped when the outcome or every selected
+    feature is constant on the rows where all of them are observed, and
+    step 3 alone when the step-2 tree uses no feature.
 
     ``ci_test`` replaces the per-view mixed CI test of every graph search,
     e.g. ``oracle_ci_test(dag)`` for validation runs.
@@ -484,7 +487,7 @@ def run_full(
         try:
             step2 = step2_integrated(dataset, step1.selected_features, config, ci_test)
         except NoFeatureError:
-            pass  # every selected feature is constant on their joint complete cases
+            pass  # the joint complete cases leave nothing to analyse
     if step2 is not None and step2.tree_features:
         step3 = step3_predictive(dataset, step2.tree_features, config)
     return PipelineReport(

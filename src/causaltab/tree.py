@@ -215,14 +215,13 @@ def fit_tree(
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     features = list(features)
     if presorted is None:
-        return _grow(_presort(view, features, outcome), None, features, max_depth)
+        presort = _presort(view, features, outcome)
+        presorted = presort, np.ones(presort.rows0.size, dtype=bool)
     return _grow(*presorted, features, max_depth)
 
 
-def _grow(
-    presort: _Presort, rows: np.ndarray | None, features: list[str], max_depth: int
-) -> TreeNode:
-    """The tree of the presorted rows that ``rows`` keeps (all of them when None).
+def _grow(presort: _Presort, rows: np.ndarray, features: list[str], max_depth: int) -> TreeNode:
+    """The tree of the presorted rows that the row mask ``rows`` keeps.
 
     A split hands each child that child's part of the orders (a stable
     partition, so no node sorts again) and its class counts. Nodes are
@@ -233,20 +232,15 @@ def _grow(
     XT, row_of, rows0, is0, root = presort
     values = XT.ravel()
     n_features = XT.shape[0]
-    if rows is None:
-        keep, n, n0 = None, rows0.size, int(np.count_nonzero(rows0))
-    else:
-        keep = rows.take(row_of.take(root))
-        n, n0 = int(np.count_nonzero(rows)), int(np.count_nonzero(rows0 & rows))
+    n, n0 = int(np.count_nonzero(rows)), int(np.count_nonzero(rows0 & rows))
 
     searched = {}  # heap position -> (class counts, _best_split's result)
-    stack = [(0, root, keep, (n0, n - n0), 1)]
+    stack = [(0, root, rows.take(row_of.take(root)), (n0, n - n0), 1)]
     while stack:
         at, order, keep, counts, depth = stack.pop()
         found = None
         if depth <= max_depth and counts[0] and counts[1]:
-            if keep is not None:
-                order = order.compress(keep.ravel()).reshape(n_features, sum(counts))
+            order = order.compress(keep.ravel()).reshape(n_features, sum(counts))
             found = _best_split(values, is0, order)
         searched[at] = counts, found
         if found is None:

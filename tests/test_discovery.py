@@ -278,7 +278,7 @@ class TestOrientationRules:
         g = MixedGraph(["a", "b", "c"])
         g.add_edge("a", "b", mark_u=CIRCLE, mark_v=ARROW)
         g.add_edge("b", "c", mark_u=CIRCLE, mark_v=CIRCLE)
-        out = apply_orientation_rules(g)
+        out = apply_orientation_rules(g, SepSetStore())
         assert out.mark_at("b", "c", at="b") == TAIL
         assert out.mark_at("b", "c", at="c") == ARROW
 
@@ -287,7 +287,7 @@ class TestOrientationRules:
         g.add_edge("a", "b", mark_u=TAIL, mark_v=ARROW)
         g.add_edge("b", "c", mark_u=CIRCLE, mark_v=ARROW)
         g.add_edge("a", "c", mark_u=CIRCLE, mark_v=CIRCLE)
-        out = apply_orientation_rules(g)
+        out = apply_orientation_rules(g, SepSetStore())
         assert out.mark_at("a", "c", at="c") == ARROW
 
     def test_r3_orients_into_collider(self):
@@ -297,7 +297,7 @@ class TestOrientationRules:
         g.add_edge("a", "d", mark_u=CIRCLE, mark_v=CIRCLE)
         g.add_edge("c", "d", mark_u=CIRCLE, mark_v=CIRCLE)
         g.add_edge("d", "b", mark_u=CIRCLE, mark_v=CIRCLE)
-        out = apply_orientation_rules(g)
+        out = apply_orientation_rules(g, SepSetStore())
         assert out.mark_at("d", "b", at="b") == ARROW
 
     def test_r4_discriminating_path_tail_branch(self):
@@ -330,7 +330,7 @@ class TestOrientationRules:
         g = MixedGraph(["a", "b", "c"])
         g.add_directed_edge("a", "b")
         g.add_directed_edge("b", "c")
-        out = apply_orientation_rules(g)
+        out = apply_orientation_rules(g, SepSetStore())
         assert out.to_json_dict() == g.to_json_dict()
 
     def test_oracle_runs_direct_edges_subset_of_truth(self):
@@ -363,7 +363,7 @@ class TestOrientationRules:
                             mark_u=marks[rng.integers(0, 3)],
                             mark_v=marks[rng.integers(0, 3)],
                         )
-            out = apply_orientation_rules(g)
+            out = apply_orientation_rules(g, SepSetStore())
             for e in g.edges():
                 for node in (e.u, e.v):
                     before = e.mark_at(node)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from causaltab.data import ColumnSchema, Dataset
+from causaltab.discovery import LearnConfig, run_fci
 from causaltab.effects import (
     annotate_strengths,
     effect_table,
@@ -227,3 +228,36 @@ class TestAnnotateStrengths:
         assert records[0]["displayed"]["source"] == "x"
         assert records[0]["displayed"]["target"] == "y"
         assert "reverse" not in records[0]
+
+
+def test_fci_and_effect_table_standardize_a_mixed_view_once(monkeypatch):
+    # the Fisher-z queries of run_fci and the effect regressions read one
+    # standardized matrix of the view
+    import causaltab.data as data
+
+    built = []
+    real = data.StandardizedMatrix
+
+    def counted(matrix, columns):
+        built.append(columns)
+        return real(matrix, columns)
+
+    monkeypatch.setattr(data, "StandardizedMatrix", counted)
+    rng = np.random.default_rng(12)
+    n = 500
+    x = rng.standard_normal(n)
+    b = (x + rng.standard_normal(n) > 0).astype(float)
+    y = x + b + rng.standard_normal(n)
+    ds = Dataset(
+        [
+            ColumnSchema("X", "continuous", "c"),
+            ColumnSchema("B", "binary", "c", levels=("0", "1")),
+            ColumnSchema("Y", "continuous", "outcome"),
+        ],
+        {"X": x, "B": b, "Y": y},
+    )
+    view = ds.view()
+    fci = run_fci(view, LearnConfig())
+    table = effect_table(view, fci.graph, outcome="Y")
+    assert fci.graph.n_edges and len(table) == fci.graph.n_edges
+    assert built == [("X", "B", "Y")]

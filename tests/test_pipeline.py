@@ -6,7 +6,7 @@ import pytest
 
 from causaltab.data import ColumnSchema, Dataset, complete_cases
 from causaltab.effects import EffectEstimate
-from causaltab.errors import CausalTabError, SingularCorrelationError
+from causaltab.errors import CausalTabError, NoFeatureError, SingularCorrelationError
 from causaltab.graph import MixedGraph, PriorKnowledge
 from causaltab.pipeline import (
     PipelineConfig,
@@ -17,6 +17,7 @@ from causaltab.pipeline import (
     write_report,
     write_step3,
 )
+from causaltab.stats import point_biserial
 from causaltab.synth import make_clinical_synth
 from causaltab.tree import Leaf, iter_nodes, Split
 
@@ -62,6 +63,27 @@ def constant_together_table() -> Dataset:
         ColumnSchema("OUTCOME", "binary", "outcome", levels=("0", "1")),
     ]
     return Dataset(schema, {"A": a, "B": b, "OUTCOME": outcome})
+
+
+def outcome_constant_together_table() -> Dataset:
+    """120 rows on which the outcome Y is constant where features A and B are both observed.
+
+    A and B track Y. A is missing on half of the Y = 1 rows and B on the
+    other half, so each category's view holds both codes of Y and the
+    joint complete cases only Y = 0. A and B sit in different categories.
+    """
+    rng = np.random.default_rng(0)
+    outcome = np.repeat([0.0, 1.0], 60)
+    a = outcome + 0.3 * rng.standard_normal(120)
+    b = outcome + 0.3 * rng.standard_normal(120)
+    a[60:90] = np.nan
+    b[90:] = np.nan
+    schema = [
+        ColumnSchema("A", "continuous", "c1"),
+        ColumnSchema("B", "continuous", "c2"),
+        ColumnSchema("Y", "binary", "outcome", levels=("0", "1")),
+    ]
+    return Dataset(schema, {"A": a, "B": b, "Y": outcome})
 
 
 class TestStep1:
@@ -217,6 +239,46 @@ class TestStep2:
         with pytest.raises(CausalTabError, match="constant on the joint complete cases: A, B"):
             step2_integrated(ds, ["A", "B"], QUIET)
 
+    def test_outcome_constant_together_is_no_feature_error(self):
+        ds = outcome_constant_together_table()
+        with pytest.raises(NoFeatureError, match="outcome is constant on the joint complete cases"):
+            step2_integrated(ds, ["A", "B"], QUIET)
+
+    def test_step2_command_on_a_constant_joint_outcome_is_one_line_error(self, tmp_path, capsys):
+        from causaltab.cli import main
+
+        ds = outcome_constant_together_table()
+        ds.write_csv(tmp_path / "table.csv")
+        ds.write_schema(tmp_path / "table.schema.json")
+        status = main([
+            "step2", "--data", str(tmp_path / "table.csv"),
+            "--schema", str(tmp_path / "table.schema.json"),
+            "--features", "A,B", "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err == "causaltab: outcome is constant on the joint complete cases\n"
+
+    def test_bivariate_tests_split_a_multilevel_outcome_as_the_tree(self, cohort, step1):
+        # SMOKE_EXYN has codes 0, 1 and 2; like the tree, every test counts
+        # code 0 against every other code
+        ds, _ = cohort
+        cfg = PipelineConfig(outcome="SMOKE_EXYN", permutation_trials=0)
+        s2 = step2_integrated(ds, step1.selected_features, cfg)
+        assert {"fisher_exact", "point_biserial"} == {row["test"] for row in s2.bivariate}
+        for row in s2.bivariate:
+            pair = complete_cases(ds, [row["feature"], "SMOKE_EXYN"])
+            codes = pair.coded("SMOKE_EXYN")
+            assert set(codes.tolist()) == {0.0, 1.0, 2.0}
+            rest = codes != 0
+            if row["test"] == "fisher_exact":
+                a, b, c, d = row["table"]
+                assert (a + c, b + d) == (int((~rest).sum()), int(rest.sum()))
+                assert row["rate_with"] == a / (a + b)
+            else:
+                want = point_biserial(rest.astype(float), pair.coded(row["feature"]))
+                assert row["effect"] == want.effect
+
 
 class TestStep3:
     def test_comparison_and_quantile(self, cohort, step2):
@@ -316,17 +378,29 @@ class TestFullRun:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert set(payload) == {"config", "outcome", "summary", "step1"}
 
+    def test_outcome_constant_together_writes_step1_report(self, tmp_path):
+        ds = outcome_constant_together_table()
+        report = run_full(ds, QUIET)
+        assert report.step1.selected_features == ("A", "B")
+        assert report.step2 is None and report.step3 is None
+        write_report(report, tmp_path, ds)
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert set(payload) == {"config", "outcome", "summary", "step1"}
+
     def test_collinear_copy_still_raises_at_its_first_asked_query(self, cohort):
         # a copy of CREATININE in a category of its own makes every step-2
         # query on the pair singular; the batched CI test defers a failed
-        # chunk to its one-query path, which raises for the first set asked
+        # chunk to its one-query path, which raises for the first set asked,
+        # naming its columns
         ds, _ = cohort
         copy = replace(ds.schema_for("CREATININE"), name="CREATININE_COPY", category="copies")
         columns = {c.name: ds.coded(c.name) for c in ds.schema}
         columns[copy.name] = ds.coded("CREATININE").copy()
         with pytest.raises(SingularCorrelationError) as info:
             run_full(Dataset([*ds.schema, copy], columns), PipelineConfig(seed=1))
-        assert str(info.value) == "correlation submatrix for (5, 6 | (8,)) is singular"
+        assert str(info.value) == (
+            "correlation submatrix for ('CREATININE', 'BUN' | ('CREATININE_COPY',)) is singular"
+        )
 
     def test_report_metrics_rederive_and_files_write(self, cohort, tmp_path):
         ds, _ = cohort
