@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import KIND_BINARY, OUTCOME_CATEGORY, Dataset, DatasetView, complete_cases, summarize
-from .discovery import CITest, LearnConfig, run_fci
+from .discovery import CITest, FciResult, LearnConfig, run_fci
 from .effects import annotate_strengths, effect_table
 from .errors import NoFeatureError
 from .graph import MixedGraph, PriorKnowledge, neighbors_within, to_dot
@@ -225,6 +225,9 @@ def _plain(obj):
 
 
 def _resolve_outcome(dataset: Dataset, config: PipelineConfig) -> str:
+    """The analysed outcome, after checking that the prior names only dataset columns."""
+    if config.prior is not None:
+        config.prior.validate_names(dataset.column_names)
     return config.outcome or dataset.outcome_column()
 
 
@@ -243,25 +246,6 @@ def _eligible_features(dataset: Dataset, config: PipelineConfig, outcome: str) -
     return out
 
 
-def _analysis_view(
-    dataset: Dataset, columns: Sequence[str], outcome: str
-) -> tuple[DatasetView, tuple[str, ...]]:
-    """Complete-case view on columns + outcome, dropping in-view constant columns."""
-    cols = [*columns, outcome]
-    view = complete_cases(dataset, cols)
-    dropped = []
-    kept = []
-    for c in cols:
-        vals = view.coded(c)
-        if vals.size and np.all(vals == vals[0]):
-            dropped.append(c)
-        else:
-            kept.append(c)
-    if dropped:
-        view = DatasetView(dataset, tuple(kept), view.rows)
-    return view, tuple(dropped)
-
-
 def _prior_for(prior: PriorKnowledge | None, columns: Sequence[str]) -> PriorKnowledge | None:
     """Restrict constraints to pairs fully inside this analysis view."""
     if prior is None:
@@ -273,6 +257,40 @@ def _prior_for(prior: PriorKnowledge | None, columns: Sequence[str]) -> PriorKno
     )
 
 
+def _learn_view(
+    dataset: Dataset,
+    features: Sequence[str],
+    outcome: str,
+    config: PipelineConfig,
+    ci_test: CITest | None,
+) -> tuple[DatasetView, tuple[str, ...], FciResult, tuple[dict, ...], MixedGraph]:
+    """Search the complete cases of features + outcome, less their constant columns.
+
+    Returns the view, the dropped columns, the search result, the effect
+    table and the graph annotated with it. Raises NoFeatureError when the
+    view leaves nothing to analyse: no feature, fewer than ``min_rows`` rows
+    (or none), a constant outcome, or only constant features.
+    """
+    if not features:
+        raise NoFeatureError("no feature to analyse")
+    cols = [*features, outcome]
+    view = complete_cases(dataset, cols)
+    if view.n_rows < max(config.min_rows, 1):
+        n, limit = view.n_rows, config.min_rows
+        raise NoFeatureError(f"the joint complete cases hold {n} rows, fewer than min_rows={limit}")
+    dropped = tuple(c for c in cols if np.all((vals := view.coded(c)) == vals[0]))
+    if outcome in dropped:
+        raise NoFeatureError("outcome is constant on the joint complete cases")
+    if len(dropped) == len(features):
+        raise NoFeatureError(
+            f"every selected feature is constant on the joint complete cases: {', '.join(dropped)}"
+        )
+    view = DatasetView(dataset, tuple(c for c in cols if c not in dropped), view.rows)
+    fci = run_fci(view, config.learn_config(), _prior_for(config.prior, view.columns), ci_test)
+    effects = tuple(effect_table(view, fci.graph, outcome))
+    return view, dropped, fci, effects, annotate_strengths(fci.graph, effects)
+
+
 def step1_per_category(
     dataset: Dataset,
     config: PipelineConfig,
@@ -280,29 +298,16 @@ def step1_per_category(
 ) -> Step1Result:
     """Per-category structure learning; selects features within 2 hops of the outcome."""
     outcome = _resolve_outcome(dataset, config)
-    if config.prior is not None:
-        config.prior.validate_names(dataset.column_names)
     eligible = set(_eligible_features(dataset, config, outcome))
     results = []
     selected: dict[str, None] = {}
     for category in dataset.categories():
-        cols = [
-            c.name
-            for c in dataset.schema
-            if c.category == category and c.name in eligible
-        ]
-        if not cols:
+        cols = [c.name for c in dataset.schema if c.category == category and c.name in eligible]
+        try:
+            view, dropped, fci, _, graph = _learn_view(dataset, cols, outcome, config, ci_test)
+        except NoFeatureError:  # the category leaves nothing to analyse
             continue
-        view, dropped = _analysis_view(dataset, cols, outcome)
-        # too few rows, a constant outcome, or no feature left beside the outcome
-        if view.n_rows < config.min_rows or outcome not in view.columns or len(view.columns) < 2:
-            continue
-        fci = run_fci(view, config.learn_config(), _prior_for(config.prior, view.columns), ci_test)
-        graph = annotate_strengths(fci.graph, effect_table(view, fci.graph, outcome))
-        near = sorted(
-            neighbors_within(graph, outcome, 2),
-            key=dataset.column_index,
-        )
+        near = sorted(neighbors_within(graph, outcome, 2), key=dataset.column_index)
         for f in near:
             selected.setdefault(f, None)
         results.append(
@@ -386,20 +391,12 @@ def step2_integrated(
     config: PipelineConfig,
     ci_test: CITest | None = None,
 ) -> Step2Result:
-    """Joint re-analysis of the selected features plus the interpretable tree."""
-    if not selected:
-        raise NoFeatureError("step 2 needs a non-empty selected feature set")
+    """Joint re-analysis of the selected features plus the interpretable tree.
+
+    NoFeatureError when the features' joint complete cases leave nothing to analyse.
+    """
     outcome = _resolve_outcome(dataset, config)
-    view, dropped = _analysis_view(dataset, selected, outcome)
-    if outcome not in view.columns:
-        raise NoFeatureError("outcome is constant on the joint complete cases")
-    if len(view.columns) == 1:
-        raise NoFeatureError(
-            f"every selected feature is constant on the joint complete cases: {', '.join(dropped)}"
-        )
-    fci = run_fci(view, config.learn_config(), _prior_for(config.prior, view.columns), ci_test)
-    effects = tuple(effect_table(view, fci.graph, outcome))
-    graph = annotate_strengths(fci.graph, effects)
+    view, dropped, fci, effects, graph = _learn_view(dataset, selected, outcome, config, ci_test)
     features = [c for c in view.columns if c != outcome]
     bivariate = tuple(_bivariate_rows(dataset, features, outcome))
     tree = fit_tree(view, features, outcome, config.tree_max_depth)
@@ -471,11 +468,12 @@ def run_full(
     config: PipelineConfig,
     ci_test: CITest | None = None,
 ) -> PipelineReport:
-    """Steps 1 to 3, skipping steps 2 and 3 when step 1 selects no feature.
+    """Steps 1 to 3; steps 2 and 3 are skipped when step 2 has nothing to analyse.
 
-    Steps 2 and 3 are also skipped when the outcome or every selected
-    feature is constant on the rows where all of them are observed, and
-    step 3 alone when the step-2 tree uses no feature.
+    That is when step 1 selects no feature, or the rows where every selected
+    feature is observed are fewer than ``min_rows`` or leave the outcome or
+    every selected feature constant. Step 3 alone is skipped when the step-2
+    tree uses no feature.
 
     ``ci_test`` replaces the per-view mixed CI test of every graph search,
     e.g. ``oracle_ci_test(dag)`` for validation runs.
@@ -483,11 +481,10 @@ def run_full(
     outcome = _resolve_outcome(dataset, config)
     step1 = step1_per_category(dataset, config, ci_test)
     step2 = step3 = None
-    if step1.selected_features:
-        try:
-            step2 = step2_integrated(dataset, step1.selected_features, config, ci_test)
-        except NoFeatureError:
-            pass  # the joint complete cases leave nothing to analyse
+    try:
+        step2 = step2_integrated(dataset, step1.selected_features, config, ci_test)
+    except NoFeatureError:
+        pass  # the joint complete cases leave nothing to analyse
     if step2 is not None and step2.tree_features:
         step3 = step3_predictive(dataset, step2.tree_features, config)
     return PipelineReport(

@@ -99,10 +99,8 @@ _LOAD_BUN = 0.5
 _LOAD_COPD = 1.05
 _LOAD_MYALGIA = 1.15
 _LOAD_CONFUSION_AGE = 0.95
-_LOAD_CONFUSION_OUT = 0.0
 _CORR_AGE_PF = -0.40
 _CORR_AGE_BUN = 0.42
-_CORR_AGE_COPD = 0.0
 _CORR_PF_MYALGIA = 0.3
 _CORR_CREAT_BUN = 0.55
 _OUTCOME_NOISE_SD = 0.30
@@ -174,10 +172,7 @@ def _backbone_columns(
     resid_bun = math.sqrt(1 - _CORR_AGE_BUN**2 - _CORR_CREAT_BUN**2)
     z_bun = _CORR_AGE_BUN * z_age + _CORR_CREAT_BUN * z_cr + resid_bun * lat["eps_bun"]
     z_pf = _CORR_AGE_PF * z_age + math.sqrt(1 - _CORR_AGE_PF**2) * lat["eps_pf"]
-    copd_liability = _CORR_AGE_COPD * z_age + math.sqrt(
-        1 - _CORR_AGE_COPD**2
-    ) * lat["eps_copd"]
-    copd = _exact_count_indicator(-copd_liability, int(round(_COPD_PREVALENCE * n)))
+    copd = _exact_count_indicator(-lat["eps_copd"], int(round(_COPD_PREVALENCE * n)))
     mya_liability = _CORR_PF_MYALGIA * z_pf + math.sqrt(
         1 - _CORR_PF_MYALGIA**2
     ) * lat["eps_mya"]
@@ -190,13 +185,11 @@ def _backbone_columns(
     conf_cut = np.partition(conf_liability, n - n_conf - 1)[n - n_conf - 1]
     confusion = (conf_liability > conf_cut).astype(float)
 
-    conf_rate = n_conf / n
     liability = (
         -age_load * z_age
         + pf_load * z_pf
         - _LOAD_BUN * z_bun
         - _LOAD_COPD * (copd - _COPD_PREVALENCE)
-        - _LOAD_CONFUSION_OUT * (confusion - conf_rate)
         + _LOAD_MYALGIA * (myalgia - _MYALGIA_PREVALENCE)
         + _OUTCOME_NOISE_SD * lat["eps_out"]
     )

@@ -217,53 +217,48 @@ def fit_tree(
     if presorted is None:
         presort = _presort(view, features, outcome)
         presorted = presort, np.ones(presort.rows0.size, dtype=bool)
-    return _grow(*presorted, features, max_depth)
+    presort, rows = presorted
+    n, n0 = int(np.count_nonzero(rows)), int(np.count_nonzero(presort.rows0 & rows))
+    keep = rows.take(presort.row_of.take(presort.order))
+    return _grow(presort, features, max_depth, presort.order, keep, (n0, n - n0), 1)
 
 
-def _grow(presort: _Presort, rows: np.ndarray, features: list[str], max_depth: int) -> TreeNode:
-    """The tree of the presorted rows that the row mask ``rows`` keeps.
+def _grow(
+    presort: _Presort,
+    features: list[str],
+    max_depth: int,
+    order: np.ndarray,
+    keep: np.ndarray,
+    counts: tuple[int, int],
+    depth: int,
+) -> TreeNode:
+    """The subtree of the node at ``depth`` whose entries of ``order`` ``keep`` flags.
 
-    A split hands each child that child's part of the orders (a stable
-    partition, so no node sorts again) and its class counts. Nodes are
-    grown from a stack, keyed by heap position (the children of k at
-    2k + 1 and 2k + 2), and built leaves first, so a fit leaves no
-    reference cycle behind.
+    ``order`` is the parent's features-major orders. The node compresses
+    them to its own, so a split hands each child its part by one boolean
+    mask, a stable partition, and no node sorts again. A child that a
+    split leaves pure, or at ``max_depth``, is a leaf without a search.
     """
-    XT, row_of, rows0, is0, root = presort
-    values = XT.ravel()
-    n_features = XT.shape[0]
-    n, n0 = int(np.count_nonzero(rows)), int(np.count_nonzero(rows0 & rows))
-
-    searched = {}  # heap position -> (class counts, _best_split's result)
-    stack = [(0, root, rows.take(row_of.take(root)), (n0, n - n0), 1)]
-    while stack:
-        at, order, keep, counts, depth = stack.pop()
-        found = None
-        if depth <= max_depth and counts[0] and counts[1]:
-            order = order.compress(keep.ravel()).reshape(n_features, sum(counts))
-            found = _best_split(values, is0, order)
-        searched[at] = counts, found
-        if found is None:
-            continue
-        j, thr, rows_left, c0_left = found
-        left = (c0_left, rows_left - c0_left)
-        right = (counts[0] - left[0], counts[1] - left[1])
-        if depth < max_depth and (all(left) or all(right)):
-            goes_left = (XT[j] <= thr).take(row_of.take(order))
-            stack.append((2 * at + 1, order, goes_left, left, depth + 1))
-            stack.append((2 * at + 2, order, ~goes_left, right, depth + 1))
-        else:  # neither child is searched, so neither needs its rows
-            searched[2 * at + 1] = left, None
-            searched[2 * at + 2] = right, None
-    nodes: dict[int, TreeNode] = {}
-    for at in sorted(searched, reverse=True):
-        counts, found = searched[at]
-        if found is None:
-            nodes[at] = _leaf(counts)
-        else:
-            left, right = nodes.pop(2 * at + 1), nodes.pop(2 * at + 2)
-            nodes[at] = Split(features[found[0]], found[1], left, right, counts)
-    return nodes[0]
+    if not all(counts):
+        return _leaf(counts)
+    XT, row_of = presort.XT, presort.row_of
+    order = order.compress(keep.ravel()).reshape(XT.shape[0], sum(counts))
+    found = _best_split(XT.ravel(), presort.is0, order)
+    if found is None:
+        return _leaf(counts)
+    j, thr, rows_left, c0_left = found
+    left = (c0_left, rows_left - c0_left)
+    right = (counts[0] - left[0], counts[1] - left[1])
+    if depth == max_depth or not (all(left) or all(right)):
+        return Split(features[j], thr, _leaf(left), _leaf(right), counts)
+    goes_left = (XT[j] <= thr).take(row_of.take(order))
+    return Split(
+        features[j],
+        thr,
+        _grow(presort, features, max_depth, order, goes_left, left, depth + 1),
+        _grow(presort, features, max_depth, order, ~goes_left, right, depth + 1),
+        counts,
+    )
 
 
 def predict_matrix(
@@ -288,9 +283,9 @@ def evaluate(tree: TreeNode, view: DatasetView, outcome: str) -> Metrics:
     Every other outcome code is the negative class, as in ``fit_tree``.
     """
     feats = sorted(tree_features(tree))
-    X = view.matrix(feats) if feats else np.empty((view.n_rows, 0))
+    X = view.matrix(feats)
     y = view.coded(outcome)
-    if (X.size and np.isnan(X).any()) or np.isnan(y).any():
+    if np.isnan(X).any() or np.isnan(y).any():
         raise IncompleteViewError("evaluation requires complete cases")
     return _score(predict_matrix(tree, X, {f: j for j, f in enumerate(feats)}), y)
 

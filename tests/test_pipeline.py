@@ -6,7 +6,12 @@ import pytest
 
 from causaltab.data import ColumnSchema, Dataset, complete_cases
 from causaltab.effects import EffectEstimate
-from causaltab.errors import CausalTabError, NoFeatureError, SingularCorrelationError
+from causaltab.errors import (
+    CausalTabError,
+    NoFeatureError,
+    SingularCorrelationError,
+    UnknownNodeError,
+)
 from causaltab.graph import MixedGraph, PriorKnowledge
 from causaltab.pipeline import (
     PipelineConfig,
@@ -84,6 +89,40 @@ def outcome_constant_together_table() -> Dataset:
         ColumnSchema("Y", "binary", "outcome", levels=("0", "1")),
     ]
     return Dataset(schema, {"A": a, "B": b, "Y": outcome})
+
+
+def joint_rows_table(k: int) -> Dataset:
+    """200 rows on which features A and B are both observed on k rows only.
+
+    Continuous A (category c1) is observed on rows 0 to 99 + k and
+    continuous B (category c2) on rows 100 to 199. Both track the binary
+    outcome Y, so step 1 selects both.
+    """
+    rng = np.random.default_rng(0)
+    outcome = rng.integers(0, 2, size=200).astype(float)
+    a = outcome + 0.3 * rng.standard_normal(200)
+    b = outcome + 0.3 * rng.standard_normal(200)
+    a[100 + k:] = np.nan
+    b[:100] = np.nan
+    schema = [
+        ColumnSchema("A", "continuous", "c1"),
+        ColumnSchema("B", "continuous", "c2"),
+        ColumnSchema("Y", "binary", "outcome", levels=("0", "1")),
+    ]
+    return Dataset(schema, {"A": a, "B": b, "Y": outcome})
+
+
+def run_step2_command(ds: Dataset, tmp_path, *extra: str) -> int:
+    """``causaltab step2 --features A,B`` on ``ds`` written to ``tmp_path``."""
+    from causaltab.cli import main
+
+    ds.write_csv(tmp_path / "table.csv")
+    ds.write_schema(tmp_path / "table.schema.json")
+    return main([
+        "step2", "--data", str(tmp_path / "table.csv"),
+        "--schema", str(tmp_path / "table.schema.json"),
+        "--features", "A,B", "--out", str(tmp_path / "out"), *extra,
+    ])
 
 
 class TestStep1:
@@ -180,8 +219,6 @@ class TestStep1:
             permutation_trials=0,
             prior=PriorKnowledge.from_pairs(forbidden=[("AGE", "NOT_A_COLUMN")]),
         )
-        from causaltab.errors import UnknownNodeError
-
         with pytest.raises(UnknownNodeError):
             step1_per_category(ds, cfg)
 
@@ -245,19 +282,35 @@ class TestStep2:
             step2_integrated(ds, ["A", "B"], QUIET)
 
     def test_step2_command_on_a_constant_joint_outcome_is_one_line_error(self, tmp_path, capsys):
-        from causaltab.cli import main
-
-        ds = outcome_constant_together_table()
-        ds.write_csv(tmp_path / "table.csv")
-        ds.write_schema(tmp_path / "table.schema.json")
-        status = main([
-            "step2", "--data", str(tmp_path / "table.csv"),
-            "--schema", str(tmp_path / "table.schema.json"),
-            "--features", "A,B", "--out", str(tmp_path / "out"),
-        ])
+        status = run_step2_command(outcome_constant_together_table(), tmp_path)
         err = capsys.readouterr().err
         assert status == 1
         assert err == "causaltab: outcome is constant on the joint complete cases\n"
+
+    @pytest.mark.parametrize("k", [0, 3, 10])
+    def test_step2_command_on_too_few_joint_rows_is_one_line_error(self, k, tmp_path, capsys):
+        status = run_step2_command(joint_rows_table(k), tmp_path)
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err == f"causaltab: the joint complete cases hold {k} rows, fewer than min_rows=20\n"
+
+    def test_prior_with_unknown_column_is_hard_error(self, cohort):
+        ds, _ = cohort
+        cfg = PipelineConfig(
+            permutation_trials=0,
+            prior=PriorKnowledge.from_pairs(forbidden=[("AGEE", "PF")]),
+        )
+        with pytest.raises(UnknownNodeError, match="AGEE"):
+            step2_integrated(ds, ["AGE", "PF", "COPD"], cfg)
+
+    def test_step2_command_with_unknown_prior_column_is_one_line_error(self, tmp_path, capsys):
+        (tmp_path / "prior.json").write_text('{"forbidden": [["AGEE", "A"]]}', encoding="utf-8")
+        status = run_step2_command(
+            joint_rows_table(100), tmp_path, "--prior", str(tmp_path / "prior.json")
+        )
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err == "causaltab: prior knowledge names unknown columns: ['AGEE']\n"
 
     def test_bivariate_tests_split_a_multilevel_outcome_as_the_tree(self, cohort, step1):
         # SMOKE_EXYN has codes 0, 1 and 2; like the tree, every test counts
@@ -380,6 +433,16 @@ class TestFullRun:
 
     def test_outcome_constant_together_writes_step1_report(self, tmp_path):
         ds = outcome_constant_together_table()
+        report = run_full(ds, QUIET)
+        assert report.step1.selected_features == ("A", "B")
+        assert report.step2 is None and report.step3 is None
+        write_report(report, tmp_path, ds)
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert set(payload) == {"config", "outcome", "summary", "step1"}
+
+    @pytest.mark.parametrize("k", [0, 3, 10])
+    def test_joint_rows_below_min_rows_write_step1_report(self, k, tmp_path):
+        ds = joint_rows_table(k)
         report = run_full(ds, QUIET)
         assert report.step1.selected_features == ("A", "B")
         assert report.step2 is None and report.step3 is None
