@@ -9,7 +9,7 @@ The package namespace holds the library entry points and the types they
 return; everything else is imported from its module.
 """
 
-from .data import Dataset, DatasetView, StandardizedMatrix, complete_cases, load_csv, standardize
+from .data import Dataset, DatasetView, complete_cases, load_csv
 from .discovery import FciResult, LearnConfig, run_fci
 from .effects import EffectEstimate, estimate_effect
 from .graph import PriorKnowledge

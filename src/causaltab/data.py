@@ -278,9 +278,6 @@ class DatasetView:
             return np.empty((self.n_rows, 0))
         return np.column_stack([self.coded(c) for c in cols])
 
-    def is_complete(self) -> bool:
-        return all(not np.isnan(self.coded(c)).any() for c in self.columns)
-
     @cached_property
     def categorical_codes(self) -> dict[str, tuple[np.ndarray, int]]:
         """Read-only int64 codes and level count of each complete categorical column.
@@ -301,9 +298,26 @@ class DatasetView:
         return out
 
     @cached_property
-    def standardized(self) -> StandardizedMatrix:
-        """``standardize(self)``, computed on first use; raises as that does."""
-        return standardize(self)
+    def standardized(self) -> np.ndarray:
+        """Read-only ``matrix()`` with each column at mean 0 and sd 1 (n-1 denominator).
+
+        IncompleteViewError on a missing cell, ZeroVarianceError on < 2 rows or a constant column.
+        """
+        cols = self.columns
+        mat = self.matrix()
+        if np.isnan(mat).any():
+            bad = [c for j, c in enumerate(cols) if np.isnan(mat[:, j]).any()]
+            raise IncompleteViewError(f"missing cells in columns {bad}; take complete cases first")
+        if mat.shape[0] < 2:
+            raise ZeroVarianceError("need at least 2 rows to standardize")
+        means = mat.mean(axis=0)
+        sds = mat.std(axis=0, ddof=1)
+        for j, c in enumerate(cols):
+            if sds[j] == 0.0:
+                raise ZeroVarianceError(f"column {c!r} is constant in this view")
+        std = (mat - means) / sds
+        std.flags.writeable = False
+        return std
 
 
 def complete_cases(dataset: Dataset, columns: Sequence[str]) -> DatasetView:
@@ -313,44 +327,6 @@ def complete_cases(dataset: Dataset, columns: Sequence[str]) -> DatasetView:
     for c in cols:
         keep &= ~np.isnan(dataset.coded(c))
     return DatasetView(dataset, cols, np.nonzero(keep)[0])
-
-
-@dataclass(frozen=True)
-class StandardizedMatrix:
-    """Column-standardized numeric matrix with its column names."""
-
-    matrix: np.ndarray
-    columns: tuple[str, ...]
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.matrix.shape[0])
-
-    def index(self, name: str) -> int:
-        try:
-            return self.columns.index(name)
-        except ValueError:
-            raise UnknownColumnError(f"column {name!r} not in standardized matrix") from None
-
-    def column(self, name: str) -> np.ndarray:
-        return self.matrix[:, self.index(name)]
-
-
-def standardize(view: DatasetView) -> StandardizedMatrix:
-    """Center and scale each column of the view to sample mean 0, sd 1 (n-1 denominator)."""
-    cols = view.columns
-    mat = view.matrix()
-    if np.isnan(mat).any():
-        bad = [c for j, c in enumerate(cols) if np.isnan(mat[:, j]).any()]
-        raise IncompleteViewError(f"missing cells in columns {bad}; take complete cases first")
-    if mat.shape[0] < 2:
-        raise ZeroVarianceError("need at least 2 rows to standardize")
-    means = mat.mean(axis=0)
-    sds = mat.std(axis=0, ddof=1)
-    for j, c in enumerate(cols):
-        if sds[j] == 0.0:
-            raise ZeroVarianceError(f"column {c!r} is constant in this view")
-    return StandardizedMatrix((mat - means) / sds, cols)
 
 
 def summarize(dataset: Dataset, by_outcome: bool = True) -> dict:

@@ -136,8 +136,8 @@ class _MixedCITest:
 
     @cached_property
     def _correlation(self) -> tuple[np.ndarray, dict[str, int]]:
-        std = self.view.standardized
-        return np.corrcoef(std.matrix, rowvar=False), {c: i for i, c in enumerate(std.columns)}
+        view = self.view
+        return np.corrcoef(view.standardized, rowvar=False), {c: i for i, c in enumerate(view.columns)}
 
     def __call__(self, x: str, y: str, given: tuple[str, ...]) -> float:
         key = (x, y, given)
@@ -266,8 +266,8 @@ def learn_skeleton(
     cols = list(view.columns)
     if len(cols) < 2:
         raise ValueError("need at least 2 columns to learn a skeleton")
-    if not view.is_complete():
-        bad = [c for c in cols if np.isnan(view.coded(c)).any()]
+    bad = [c for c in cols if np.isnan(view.coded(c)).any()]
+    if bad:
         raise IncompleteViewError(f"view has missing cells in {bad}; take complete cases first")
     if prior is not None:
         prior.validate_names(cols)

@@ -83,14 +83,15 @@ def estimate_effect(view: DatasetView, g: MixedGraph, x: str, y: str) -> EffectE
     if not g.has_edge(x, y):
         raise NotAdjacentError(f"{x!r} and {y!r} are not adjacent")
     std = view.standardized
-    yv = std.column(y)
-    xv = std.column(x)
+    index = view.columns.index
+    yv = std[:, index(y)]
+    xv = std[:, index(x)]
     effects = []
     for parents in enumerate_parent_sets(g, x):
         if y in parents:
             effects.append(0.0)
             continue
-        design = [xv] + [std.column(p) for p in sorted(parents, key=std.index)]
+        design = [xv] + [std[:, index(p)] for p in sorted(parents, key=index)]
         beta = ols(yv, np.column_stack(design))
         effects.append(float(beta[1]))
     return EffectEstimate(

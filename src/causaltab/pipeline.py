@@ -20,7 +20,7 @@ import numpy as np
 from .data import KIND_BINARY, OUTCOME_CATEGORY, Dataset, DatasetView, complete_cases, summarize
 from .discovery import CITest, FciResult, LearnConfig, run_fci
 from .effects import annotate_strengths, effect_table
-from .errors import NoFeatureError
+from .errors import CausalTabError, NoFeatureError
 from .graph import MixedGraph, PriorKnowledge, neighbors_within, to_dot
 from .stats import (
     ContingencyTable2x2,
@@ -72,14 +72,16 @@ def config_field_type(f: Field) -> tuple[type, bool]:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Knobs for the full workflow; defaults follow the reference protocol."""
+class PipelineConfig(LearnConfig):
+    """Knobs for the full workflow; defaults follow the reference protocol.
 
-    outcome: str | None = None
-    alpha: float = 0.05
+    It is also the LearnConfig of every graph search it runs; only the
+    defaults of ``max_cond_size`` and ``do_possible_dsep`` differ.
+    """
+
     max_cond_size: int | None = 3
     do_possible_dsep: bool = False
-    do_orientation: bool = True
+    outcome: str | None = None
     tree_max_depth: int = 4
     cv_folds: int = 10
     permutation_trials: int = 1000
@@ -90,7 +92,7 @@ class PipelineConfig:
     prior: PriorKnowledge | None = None
 
     def __post_init__(self):
-        self.learn_config()  # LearnConfig checks alpha and max_cond_size
+        super().__post_init__()
         if self.tree_max_depth < 1:
             raise ValueError(f"tree_max_depth must be >= 1, got {self.tree_max_depth}")
         if self.cv_folds < 2:
@@ -99,14 +101,10 @@ class PipelineConfig:
             raise ValueError(
                 f"permutation_features must be None or >= 1, got {self.permutation_features}"
             )
-
-    def learn_config(self) -> LearnConfig:
-        return LearnConfig(
-            alpha=self.alpha,
-            max_cond_size=self.max_cond_size,
-            do_possible_dsep=self.do_possible_dsep,
-            do_orientation=self.do_orientation,
-        )
+        if self.max_missing is not None and self.max_missing < 1:
+            raise ValueError(f"max_missing must be None or >= 1, got {self.max_missing}")
+        if self.min_rows < 0:
+            raise ValueError(f"min_rows must be >= 0, got {self.min_rows}")
 
     def to_json_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "prior"}
@@ -231,6 +229,14 @@ def _resolve_outcome(dataset: Dataset, config: PipelineConfig) -> str:
     return config.outcome or dataset.outcome_column()
 
 
+def _check_features(features: Sequence[str], outcome: str) -> None:
+    """A step's feature list must name each column once and leave the outcome out."""
+    for i, name in enumerate(features):
+        if name == outcome or name in features[:i]:
+            what = "names the outcome" if name == outcome else "repeats the column"
+            raise CausalTabError(f"the feature list {what} {name!r}")
+
+
 def _eligible_features(dataset: Dataset, config: PipelineConfig, outcome: str) -> list[str]:
     """Feature pool after the optional missing-count cutoff.
 
@@ -286,7 +292,7 @@ def _learn_view(
             f"every selected feature is constant on the joint complete cases: {', '.join(dropped)}"
         )
     view = DatasetView(dataset, tuple(c for c in cols if c not in dropped), view.rows)
-    fci = run_fci(view, config.learn_config(), _prior_for(config.prior, view.columns), ci_test)
+    fci = run_fci(view, config, _prior_for(config.prior, view.columns), ci_test)
     effects = tuple(effect_table(view, fci.graph, outcome))
     return view, dropped, fci, effects, annotate_strengths(fci.graph, effects)
 
@@ -393,9 +399,11 @@ def step2_integrated(
 ) -> Step2Result:
     """Joint re-analysis of the selected features plus the interpretable tree.
 
-    NoFeatureError when the features' joint complete cases leave nothing to analyse.
+    NoFeatureError when the features' joint complete cases leave nothing to
+    analyse; CausalTabError when ``selected`` repeats a column or names the outcome.
     """
     outcome = _resolve_outcome(dataset, config)
+    _check_features(selected, outcome)
     view, dropped, fci, effects, graph = _learn_view(dataset, selected, outcome, config, ci_test)
     features = [c for c in view.columns if c != outcome]
     bivariate = tuple(_bivariate_rows(dataset, features, outcome))
@@ -421,10 +429,14 @@ def step3_predictive(
     tree_feats: Sequence[str],
     config: PipelineConfig,
 ) -> Step3Result:
-    """CV of the causal features versus the random-feature permutation baseline."""
+    """CV of the causal features versus the random-feature permutation baseline.
+
+    CausalTabError when ``tree_feats`` repeats a column or names the outcome.
+    """
     if not tree_feats:
         raise NoFeatureError("the step-2 tree uses no feature")
     outcome = _resolve_outcome(dataset, config)
+    _check_features(tree_feats, outcome)
     view = complete_cases(dataset, [*tree_feats, outcome])
     cv = kfold_cv(
         view, list(tree_feats), outcome, config.cv_folds, config.tree_max_depth, config.seed

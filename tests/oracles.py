@@ -462,20 +462,21 @@ def reference_fisher_z_from_correlation(corr: np.ndarray, n: int, i: int, j: int
     return TestResult(statistic=stat, p_value=p, dof=float(n - k - 3), effect=rho)
 
 
-def fisher_z_ci_test(x: str, y: str, given, m):
+def fisher_z_ci_test(x: str, y: str, given, view):
     """Gaussian conditional-independence test of x against y given a column set.
 
-    ``m`` is a ``StandardizedMatrix``. The partial correlation is obtained
-    by inverting the correlation submatrix of (x, y, given); the statistic
-    is sqrt(n-|S|-3)*atanh(rho).
+    ``view`` is a complete ``DatasetView``, read through its standardized
+    matrix. The partial correlation is obtained by inverting the
+    correlation submatrix of (x, y, given); the statistic is
+    sqrt(n-|S|-3)*atanh(rho).
     """
     from causaltab.stats import fisher_z_from_correlation
 
-    cols = [m.index(x), m.index(y)] + [m.index(s) for s in given]
-    sub = m.matrix[:, cols]
+    cols = [view.columns.index(c) for c in (x, y, *given)]
+    sub = view.standardized[:, cols]
     corr = np.corrcoef(sub, rowvar=False)
     corr = np.atleast_2d(corr)
-    return fisher_z_from_correlation(corr, m.n_rows, 0, 1, list(range(2, len(cols))))
+    return fisher_z_from_correlation(corr, view.n_rows, 0, 1, list(range(2, len(cols))))
 
 
 def reference_mixed_ci_test(view):
@@ -484,7 +485,6 @@ def reference_mixed_ci_test(view):
     Every query runs its kernel; ``discovery.mixed_ci_test`` must return
     the same p-value for every query and raise the same errors.
     """
-    from causaltab.data import standardize
     from causaltab.stats import fisher_z_from_correlation, g_squared_test
 
     categorical = {c: view.schema_for(c).is_categorical for c in view.columns}
@@ -492,9 +492,8 @@ def reference_mixed_ci_test(view):
 
     def _corr() -> tuple[np.ndarray, dict[str, int]]:
         if "corr" not in state:
-            std = standardize(view)
-            state["corr"] = np.corrcoef(std.matrix, rowvar=False)
-            state["index"] = {c: i for i, c in enumerate(std.columns)}
+            state["corr"] = np.corrcoef(view.standardized, rowvar=False)
+            state["index"] = {c: i for i, c in enumerate(view.columns)}
         return state["corr"], state["index"]  # type: ignore[return-value]
 
     def test(x: str, y: str, given: tuple[str, ...]) -> float:

@@ -193,6 +193,24 @@ def test_missing_features_is_one_line_error(cohort_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, features, message",
+    [
+        ("step2", "AGE,AGE,COPD,PF", "the feature list repeats the column 'AGE'"),
+        ("step2", "AGE,OUTCOME", "the feature list names the outcome 'OUTCOME'"),
+        ("step3", "AGE,AGE", "the feature list repeats the column 'AGE'"),
+        ("step3", "AGE,OUTCOME", "the feature list names the outcome 'OUTCOME'"),
+    ],
+)
+def test_feature_list_repeating_a_column_or_naming_the_outcome_is_one_line_error(
+    cohort_dir, tmp_path, capsys, command, features, message
+):
+    argv = [command, *_data_args(cohort_dir), "--features", features,
+            "--permutation-trials", "3", "--out", str(tmp_path / "x")]
+    assert _one_line_error(capsys, argv) == f"causaltab: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [
         ("--alpha", "2"),
@@ -201,6 +219,8 @@ def test_missing_features_is_one_line_error(cohort_dir, tmp_path, capsys):
         ("--cv-folds", "1"),
         ("--permutation-features", "0"),
         ("--permutation-features", "-1"),
+        ("--min-rows", "-3"),
+        ("--max-missing", "0"),
     ],
 )
 def test_bad_config_value_fails_before_any_step(cohort_dir, tmp_path, capsys, flag, value):

@@ -12,7 +12,6 @@ from causaltab.data import (
     complete_cases,
     load_csv,
     load_schema,
-    standardize,
     summarize,
 )
 from causaltab.errors import (
@@ -314,7 +313,7 @@ class TestCompleteCases:
     def test_idempotent(self):
         ds = self.make()
         once = complete_cases(ds, ["A", "B"])
-        assert once.is_complete()
+        assert not np.isnan(once.matrix()).any()
         twice = complete_cases(once.source, once.columns)
         assert list(once.rows) == list(twice.rows)
         assert once.columns == twice.columns
@@ -324,14 +323,14 @@ class TestStandardize:
     def test_symmetric_column(self):
         schema = [ColumnSchema("X", "continuous", "c")]
         ds = Dataset(schema, {"X": np.array([1.0, 2.0, 3.0])})
-        std = standardize(ds.view())
-        np.testing.assert_allclose(std.matrix[:, 0], [-1.0, 0.0, 1.0])
+        std = ds.view().standardized
+        np.testing.assert_allclose(std[:, 0], [-1.0, 0.0, 1.0])
 
     def test_constant_column_raises(self):
         schema = [ColumnSchema("X", "continuous", "c")]
         ds = Dataset(schema, {"X": np.array([5.0, 5.0, 5.0])})
         with pytest.raises(ZeroVarianceError) as err:
-            standardize(ds.view())
+            ds.view().standardized
         assert "X" in str(err.value)
 
     def test_moments_recomputed_independently(self):
@@ -339,11 +338,21 @@ class TestStandardize:
         mat = rng.normal(size=(50, 4)) * [1.0, 10.0, 0.1, 3.0] + [5, -2, 0, 100]
         schema = [ColumnSchema(f"c{i}", "continuous", "c") for i in range(4)]
         ds = Dataset(schema, {f"c{i}": mat[:, i] for i in range(4)})
-        std = standardize(ds.view())
+        std = ds.view().standardized
         for j in range(4):
-            col = std.matrix[:, j]
+            col = std[:, j]
             assert abs(col.sum() / 50) < 1e-12
             assert abs(math.sqrt((col - col.mean()) @ (col - col.mean()) / 49) - 1) < 1e-12
+
+    def test_one_read_only_array_in_view_column_order(self):
+        schema = [ColumnSchema("X", "continuous", "c"), ColumnSchema("Y", "continuous", "c")]
+        ds = Dataset(schema, {"X": np.array([1.0, 2.0, 3.0]), "Y": np.array([10.0, 30.0, 20.0])})
+        view = ds.view(["Y", "X"])
+        std = view.standardized
+        assert view.standardized is std
+        np.testing.assert_allclose(std, [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError):
+            std[0, 0] = 0.0
 
 
 class TestSummarize:

@@ -232,17 +232,17 @@ class TestAnnotateStrengths:
 
 def test_fci_and_effect_table_standardize_a_mixed_view_once(monkeypatch):
     # the Fisher-z queries of run_fci and the effect regressions read one
-    # standardized matrix of the view
-    import causaltab.data as data
+    # standardized matrix of the view, built from one whole-view matrix
+    from causaltab.data import DatasetView
 
     built = []
-    real = data.StandardizedMatrix
+    real = DatasetView.matrix
 
-    def counted(matrix, columns):
+    def counted(view, columns=None):
         built.append(columns)
-        return real(matrix, columns)
+        return real(view, columns)
 
-    monkeypatch.setattr(data, "StandardizedMatrix", counted)
+    monkeypatch.setattr(DatasetView, "matrix", counted)
     rng = np.random.default_rng(12)
     n = 500
     x = rng.standard_normal(n)
@@ -260,4 +260,4 @@ def test_fci_and_effect_table_standardize_a_mixed_view_once(monkeypatch):
     fci = run_fci(view, LearnConfig())
     table = effect_table(view, fci.graph, outcome="Y")
     assert fci.graph.n_edges and len(table) == fci.graph.n_edges
-    assert built == [("X", "B", "Y")]
+    assert built == [None]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from causaltab.data import ColumnSchema, Dataset, complete_cases
+from causaltab.discovery import LearnConfig, run_fci
 from causaltab.effects import EffectEstimate
 from causaltab.errors import (
     CausalTabError,
@@ -281,6 +282,20 @@ class TestStep2:
         with pytest.raises(NoFeatureError, match="outcome is constant on the joint complete cases"):
             step2_integrated(ds, ["A", "B"], QUIET)
 
+    @pytest.mark.parametrize(
+        "features, message",
+        [
+            (["AGE", "AGE", "COPD", "PF"], "repeats the column 'AGE'"),
+            (["AGE", "OUTCOME"], "names the outcome 'OUTCOME'"),
+        ],
+    )
+    def test_feature_list_repeating_a_column_or_naming_the_outcome_rejected(
+        self, cohort, features, message
+    ):
+        ds, _ = cohort
+        with pytest.raises(CausalTabError, match=message):
+            step2_integrated(ds, features, QUIET)
+
     def test_step2_command_on_a_constant_joint_outcome_is_one_line_error(self, tmp_path, capsys):
         status = run_step2_command(outcome_constant_together_table(), tmp_path)
         err = capsys.readouterr().err
@@ -372,6 +387,22 @@ class TestStep3:
         cfg = PipelineConfig(permutation_trials=3, seed=1)
         with pytest.raises(CausalTabError, match="the step-2 tree uses no feature"):
             step3_predictive(ds, [], cfg)
+
+    @pytest.mark.parametrize(
+        "features, message",
+        [
+            (["AGE", "AGE"], "repeats the column 'AGE'"),
+            (["AGE", "OUTCOME"], "names the outcome 'OUTCOME'"),
+        ],
+    )
+    def test_feature_list_repeating_a_column_or_naming_the_outcome_rejected(
+        self, cohort, features, message
+    ):
+        # the outcome would predict itself, and a repeated column would be
+        # compared against random draws of more distinct features
+        ds, _ = cohort
+        with pytest.raises(CausalTabError, match=message):
+            step3_predictive(ds, features, PipelineConfig(permutation_trials=3, seed=1))
 
     def test_outcome_override_keeps_outcome_columns_out_of_the_baseline(self, cohort):
         # with a non-schema outcome, every random-feature tree predicts that
@@ -560,6 +591,10 @@ def test_config_unknown_key_is_an_error():
         ("cv_folds", 1),
         ("permutation_features", 0),
         ("permutation_features", -1),
+        ("min_rows", -1),
+        ("min_rows", -3),
+        ("max_missing", 0),
+        ("max_missing", -1),
     ],
 )
 def test_config_rejects_a_bad_value_when_built(field, value):
@@ -568,8 +603,28 @@ def test_config_rejects_a_bad_value_when_built(field, value):
 
 
 def test_config_accepts_the_smallest_valid_values():
-    PipelineConfig(max_cond_size=0, tree_max_depth=1, cv_folds=2, permutation_features=1)
-    PipelineConfig(max_cond_size=None, permutation_features=None)
+    PipelineConfig(
+        max_cond_size=0, tree_max_depth=1, cv_folds=2, permutation_features=1, min_rows=0, max_missing=1
+    )
+    PipelineConfig(max_cond_size=None, permutation_features=None, max_missing=None)
+
+
+def test_pipeline_config_keeps_its_search_defaults_apart_from_learn_config():
+    assert (LearnConfig().max_cond_size, LearnConfig().do_possible_dsep) == (None, True)
+    assert (PipelineConfig().max_cond_size, PipelineConfig().do_possible_dsep) == (3, False)
+
+
+def test_run_fci_reads_a_pipeline_config_as_the_learn_config_of_its_values(cohort):
+    ds, _ = cohort
+    view = complete_cases(ds, ["AGE", "COPD", "PF", "BUN", "CREATININE", "OUTCOME"])
+    for values in (
+        dict(alpha=0.01, max_cond_size=2, do_possible_dsep=True, do_orientation=True),
+        dict(alpha=0.1, max_cond_size=None, do_possible_dsep=False, do_orientation=False),
+    ):
+        got = run_fci(view, PipelineConfig(**values))
+        want = run_fci(view, LearnConfig(**values))
+        assert got.tests_run == want.tests_run
+        assert got.graph.to_json_dict() == want.graph.to_json_dict()
 
 
 def test_config_json_round_trip_covers_every_field():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
-from causaltab.data import ColumnSchema, Dataset, complete_cases, standardize
+from causaltab.data import ColumnSchema, Dataset, complete_cases
 from causaltab.errors import (
     CausalTabError,
     DegenerateGroupError,
@@ -45,9 +45,9 @@ mp.mp.dps = 30
 
 
 def std_matrix(columns: dict[str, np.ndarray]):
+    """A view of continuous ``columns``, as ``fisher_z_ci_test`` reads it."""
     schema = [ColumnSchema(n, "continuous", "c") for n in columns]
-    ds = Dataset(schema, columns)
-    return standardize(ds.view())
+    return Dataset(schema, columns).view()
 
 
 class TestChisqSf:
