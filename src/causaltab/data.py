@@ -3,7 +3,9 @@
 A Dataset stores every column as a float array of *codes*: continuous
 columns hold the raw value, binary/ordinal columns hold the index of the
 cell's level in the declared level order, and missing cells hold NaN.
-Views are index overlays and never copy cell data.
+Views are index overlays and never copy cell data. ``DatasetView.matrix``
+is the one missing-cell check of a view: it raises IncompleteViewError
+naming each incomplete column it reads. The G^2 test keeps its own rule.
 """
 
 from __future__ import annotations
@@ -273,10 +275,19 @@ class DatasetView:
         return self.source.coded(name)[self.rows]
 
     def matrix(self, columns: Sequence[str] | None = None) -> np.ndarray:
+        """The view's cells of ``columns`` (default: all), one column each.
+
+        It is the one missing-cell check of a view: IncompleteViewError
+        names every requested column that has a missing cell.
+        """
         cols = tuple(columns) if columns is not None else self.columns
         if not cols:
             return np.empty((self.n_rows, 0))
-        return np.column_stack([self.coded(c) for c in cols])
+        mat = np.column_stack([self.coded(c) for c in cols])
+        bad = [c for c, hole in zip(cols, np.isnan(mat).any(axis=0)) if hole]
+        if bad:
+            raise IncompleteViewError(f"missing cells in columns {bad}; take complete cases first")
+        return mat
 
     @cached_property
     def categorical_codes(self) -> dict[str, tuple[np.ndarray, int]]:
@@ -303,16 +314,12 @@ class DatasetView:
 
         IncompleteViewError on a missing cell, ZeroVarianceError on < 2 rows or a constant column.
         """
-        cols = self.columns
         mat = self.matrix()
-        if np.isnan(mat).any():
-            bad = [c for j, c in enumerate(cols) if np.isnan(mat[:, j]).any()]
-            raise IncompleteViewError(f"missing cells in columns {bad}; take complete cases first")
         if mat.shape[0] < 2:
             raise ZeroVarianceError("need at least 2 rows to standardize")
         means = mat.mean(axis=0)
         sds = mat.std(axis=0, ddof=1)
-        for j, c in enumerate(cols):
+        for j, c in enumerate(self.columns):
             if sds[j] == 0.0:
                 raise ZeroVarianceError(f"column {c!r} is constant in this view")
         std = (mat - means) / sds
@@ -379,7 +386,7 @@ _REQUIRED_SCHEMA_FIELDS = ("name", "kind", "category")
 
 def load_schema(path: str | Path) -> list[ColumnSchema]:
     """Parse a sidecar schema file: a JSON array of column declarations."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if isinstance(raw, dict) and "columns" in raw:
         raw = raw["columns"]
     if not isinstance(raw, list) or not raw:
@@ -414,6 +421,8 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
     any other value that does not conform to the column kind/levels raises
     BadCellError naming the row and column rather than being coerced.
     Rows are checked in file order, each row's length before its cells.
+    A leading byte-order mark and an empty line after the header are
+    skipped; row numbers in errors still count the empty lines.
 
     Each column's codes go straight into an ``array("d")`` of 8 bytes per
     cell, and the Dataset copies them once, so the loader's peak memory is
@@ -421,7 +430,7 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
     """
     schema = load_schema(schema_path)
     want = [c.name for c in schema]
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _csv_rows(fh, path)
         try:
             header = next(reader)
@@ -445,6 +454,8 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
                 decode = float
             decoders.append((col, header.index(col.name), decode, data[col.name].append))
         for r, row in enumerate(reader, start=1):
+            if not row:
+                continue  # an empty line; a line of blanks or commas is a row
             if len(row) != len(header):
                 raise SchemaMismatchError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
             for col, pos, decode, append in decoders:

@@ -20,7 +20,6 @@ import numpy as np
 from .data import DatasetView
 from .errors import (
     CausalTabError,
-    IncompleteViewError,
     SingularCorrelationError,
     UnknownColumnError,
     UnknownNodeError,
@@ -266,9 +265,6 @@ def learn_skeleton(
     cols = list(view.columns)
     if len(cols) < 2:
         raise ValueError("need at least 2 columns to learn a skeleton")
-    bad = [c for c in cols if np.isnan(view.coded(c)).any()]
-    if bad:
-        raise IncompleteViewError(f"view has missing cells in {bad}; take complete cases first")
     if prior is not None:
         prior.validate_names(cols)
     ci = ci_test or mixed_ci_test(view)

@@ -105,6 +105,10 @@ class PipelineConfig(LearnConfig):
             raise ValueError(f"max_missing must be None or >= 1, got {self.max_missing}")
         if self.min_rows < 0:
             raise ValueError(f"min_rows must be >= 0, got {self.min_rows}")
+        if self.permutation_trials < 0:
+            raise ValueError(f"permutation_trials must be >= 0, got {self.permutation_trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_json_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "prior"}

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .data import KIND_BINARY, ColumnSchema, Dataset, DatasetView, complete_cases
-from .errors import EmptyDataError, ExhaustedDrawsError, IncompleteViewError, TooFewRowsError
+from .errors import EmptyDataError, ExhaustedDrawsError, TooFewRowsError
 
 __all__ = [
     "Leaf",
@@ -172,13 +172,11 @@ class _Presort(NamedTuple):
 
 
 def _presort(view: DatasetView, features: list[str], outcome: str) -> _Presort:
-    """Check the view's feature matrix and sort every feature of it once, stably."""
+    """Read the view's complete feature matrix and sort every feature of it once, stably."""
     X = view.matrix(features)
-    y = view.coded(outcome)
+    y = view.matrix([outcome])[:, 0]
     if X.shape[0] == 0:
         raise EmptyDataError("no rows to fit on")
-    if np.isnan(X).any() or np.isnan(y).any():
-        raise IncompleteViewError("tree fitting requires complete cases")
     n, n_features = X.shape
     XT = np.ascontiguousarray(X.T)
     row_of = np.tile(np.arange(n), n_features)
@@ -284,9 +282,7 @@ def evaluate(tree: TreeNode, view: DatasetView, outcome: str) -> Metrics:
     """
     feats = sorted(tree_features(tree))
     X = view.matrix(feats)
-    y = view.coded(outcome)
-    if np.isnan(X).any() or np.isnan(y).any():
-        raise IncompleteViewError("evaluation requires complete cases")
+    y = view.matrix([outcome])[:, 0]
     return _score(predict_matrix(tree, X, {f: j for j, f in enumerate(feats)}), y)
 
 
@@ -349,9 +345,7 @@ def kfold_cv(
     if view.n_rows < k:
         raise TooFewRowsError(f"{view.n_rows} rows cannot fill {k} folds")
     features = list(features)
-    y = view.coded(outcome)
-    if np.isnan(y).any():
-        raise IncompleteViewError("outcome column has missing cells")
+    y = view.matrix([outcome])[:, 0]
     rng = np.random.default_rng(seed)
     fold = _stratified_folds(y.astype(np.int64), k, rng)
     tests = [fold == f for f in range(k)]

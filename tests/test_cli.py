@@ -221,6 +221,8 @@ def test_feature_list_repeating_a_column_or_naming_the_outcome_is_one_line_error
         ("--permutation-features", "-1"),
         ("--min-rows", "-3"),
         ("--max-missing", "0"),
+        ("--seed", "-1"),
+        ("--permutation-trials", "-3"),
     ],
 )
 def test_bad_config_value_fails_before_any_step(cohort_dir, tmp_path, capsys, flag, value):

@@ -232,6 +232,32 @@ class TestCsvMatchesRowWiseReference:
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("edit", ["byte-order mark", "empty line inside", "empty line at the end"])
+def test_byte_order_mark_and_empty_lines_load_as_the_original(tmp_path, edit):
+    ds = mixed_table(0)
+    csv_path, schema_path = tmp_path / "t.csv", tmp_path / "t.schema.json"
+    ds.write_csv(csv_path)
+    ds.write_schema(schema_path)
+    want = load_csv(csv_path, schema_path)
+    lines = csv_path.read_bytes().splitlines(keepends=True)
+    if edit == "byte-order mark":
+        # Excel's "CSV UTF-8" export starts the file with one
+        for path in (csv_path, schema_path):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    elif edit == "empty line inside":
+        csv_path.write_bytes(b"".join([*lines[:5], b"\r\n", *lines[5:]]))
+    else:
+        csv_path.write_bytes(b"".join(lines) + b"\n")
+    assert_bit_identical(load_csv(csv_path, schema_path), want)
+
+
+def test_bad_cell_after_an_empty_line_names_its_file_row(tmp_path):
+    csv_path, schema_path = write_cohort(tmp_path, ["60,0,1", "", "61,2,0"])
+    with pytest.raises(BadCellError) as err:
+        load_csv(csv_path, schema_path)
+    assert (err.value.row, err.value.column) == (3, "COPD")
+
+
 def test_unparsable_csv_line_is_a_schema_error(tmp_path):
     csv_path, schema_path = write_cohort(tmp_path, ["60,0,1", "61,0," + "9" * 200_000])
     with pytest.raises(SchemaMismatchError, match="line 3: field larger than field limit"):

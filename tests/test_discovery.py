@@ -372,6 +372,99 @@ class TestOrientationRules:
                         assert after == before
 
 
+def dag_of(n, edges):
+    """The DAG on v0..v(n-1) with the directed ``edges`` (pairs of indices)."""
+    dag = MixedGraph([f"v{i}" for i in range(n)])
+    for s, t in edges:
+        dag.add_directed_edge(f"v{s}", f"v{t}")
+    return dag
+
+
+def unsound_marks(pag, dag):
+    """The PAG's (edge, endpoint) marks that contradict the DAG's ancestor relations.
+
+    An arrowhead at x says x is no ancestor of the other end; a tail at x
+    says it is one. Circles claim nothing. Returns (unsound, non-circle) counts.
+    """
+    descendants = {}
+    for v in dag.nodes:
+        seen, stack = set(), [v]
+        while stack:
+            for child in dag.children(stack.pop()):
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        descendants[v] = seen
+    unsound = marked = 0
+    for e in pag.edges():
+        for x, y in ((e.u, e.v), (e.v, e.u)):
+            mark = e.mark_at(x)
+            if mark != CIRCLE:
+                marked += 1
+                unsound += (mark == TAIL) != (y in descendants[x])
+    return unsound, marked
+
+
+#: v0 is hidden; rule R4 orients v2 -> v6 along the discriminating path
+#: <v4, v5, v3, v2, v6>, whose inner colliders v5 and v3 are both parents of v6
+R4_DAG = dag_of(7, [(0, 3), (0, 5), (1, 3), (1, 5), (1, 6), (2, 3), (2, 4), (2, 6),
+                    (3, 6), (4, 5), (5, 6)])
+
+
+@pytest.mark.parametrize("pdsep", [True, False])
+def test_r4_follows_a_discriminating_path_through_two_colliders(monkeypatch, pdsep):
+    found = {}
+    original = discovery._find_discriminating_path
+
+    def recorded(g, b, c):
+        found[(b, c)] = original(g, b, c)
+        return found[(b, c)]
+
+    monkeypatch.setattr(discovery, "_find_discriminating_path", recorded)
+    res = run_fci(
+        dummy_view([f"v{i}" for i in range(1, 7)]),
+        LearnConfig(do_possible_dsep=pdsep),
+        ci_test=oracle_ci_test(R4_DAG),
+    )
+    assert found[("v2", "v6")] == ("v4", "v3")
+    C, A, T = CIRCLE, ARROW, TAIL
+    assert sorted((e.u, e.v, e.mark_u, e.mark_v) for e in res.graph.edges()) == [
+        ("v1", "v3", C, A), ("v1", "v5", C, A), ("v1", "v6", T, A), ("v2", "v3", C, A),
+        ("v2", "v4", C, C), ("v2", "v6", T, A), ("v3", "v5", A, A), ("v3", "v6", T, A),
+        ("v4", "v5", C, A), ("v5", "v6", T, A),
+    ]
+    assert unsound_marks(res.graph, R4_DAG) == (0, 14)
+
+
+def test_oracle_pags_are_sound_on_random_dags_with_hidden_nodes():
+    # 200 DAGs of 4-7 nodes, of which the first 0-2 are hidden
+    rng = np.random.default_rng(2024)
+    total = 0
+    for _ in range(200):
+        n, hidden = int(rng.integers(4, 8)), int(rng.integers(0, 3))
+        dag = dag_of(n, [(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+        view = dummy_view(list(dag.nodes[hidden:]))
+        for pdsep in (True, False):
+            res = run_fci(view, LearnConfig(do_possible_dsep=pdsep), ci_test=oracle_ci_test(dag))
+            unsound, marked = unsound_marks(res.graph, dag)
+            assert unsound == 0, (dag.to_json_dict(), hidden, pdsep)
+            total += marked
+    assert total > 800
+
+
+def test_no_stage_asks_about_a_required_pair():
+    # v4 and v6 are not adjacent in R4_DAG, so without its skip the pd-sep
+    # stage would test them given subsets of v4's possible-d-sep set
+    ci, answers = recording(oracle_ci_test(R4_DAG))
+    prior = PriorKnowledge.from_pairs(required=[("v4", "v6")])
+    res = run_fci(
+        dummy_view([f"v{i}" for i in range(1, 7)]), LearnConfig(do_possible_dsep=True), prior, ci
+    )
+    assert res.graph.has_edge("v4", "v6")
+    asked = {frozenset((x, y)) for (x, y, _), _ in answers}
+    assert asked and frozenset(("v4", "v6")) not in asked
+
+
 def test_run_fci_wires_stages_together():
     ds = chain_dataset(17)
     res = run_fci(ds.view(), LearnConfig())

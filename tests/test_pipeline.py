@@ -595,6 +595,9 @@ def test_config_unknown_key_is_an_error():
         ("min_rows", -3),
         ("max_missing", 0),
         ("max_missing", -1),
+        ("permutation_trials", -1),
+        ("permutation_trials", -3),
+        ("seed", -1),
     ],
 )
 def test_config_rejects_a_bad_value_when_built(field, value):
@@ -604,7 +607,8 @@ def test_config_rejects_a_bad_value_when_built(field, value):
 
 def test_config_accepts_the_smallest_valid_values():
     PipelineConfig(
-        max_cond_size=0, tree_max_depth=1, cv_folds=2, permutation_features=1, min_rows=0, max_missing=1
+        max_cond_size=0, tree_max_depth=1, cv_folds=2, permutation_features=1, min_rows=0, max_missing=1,
+        seed=0, permutation_trials=0,
     )
     PipelineConfig(max_cond_size=None, permutation_features=None, max_missing=None)
 

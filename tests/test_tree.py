@@ -536,7 +536,7 @@ class TestKfoldCvErrors:
     def test_missing_feature_cell(self, monkeypatch):
         view = self.table(Z=13).view()
         assert self.error(monkeypatch, view, ["X", "Z"]) == (
-            IncompleteViewError, "tree fitting requires complete cases"
+            IncompleteViewError, "missing cells in columns ['Z']; take complete cases first"
         )
 
     def test_feature_outside_the_view(self, monkeypatch):
@@ -548,7 +548,7 @@ class TestKfoldCvErrors:
     def test_missing_outcome_cell(self, monkeypatch):
         view = self.table(Y=4).view()
         assert self.error(monkeypatch, view, ["X"]) == (
-            IncompleteViewError, "outcome column has missing cells"
+            IncompleteViewError, "missing cells in columns ['Y']; take complete cases first"
         )
 
     @pytest.mark.parametrize(
