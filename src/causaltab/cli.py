@@ -161,7 +161,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         dataset = load_csv(args.data, args.schema)
 
     if args.command == "summarize":
-        summary = summarize(dataset, by_outcome=not args.no_outcome_split)
+        summary = summarize(dataset, None if args.no_outcome_split else dataset.outcome_column())
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
 

@@ -117,9 +117,13 @@ class Dataset:
         names = [c.name for c in self._schema]
         if len(set(names)) != len(names):
             raise SchemaMismatchError("duplicate column names in schema")
-        outcome_cols = [c.name for c in self._schema if c.category == OUTCOME_CATEGORY]
+        outcome_cols = [c for c in self._schema if c.category == OUTCOME_CATEGORY]
         if len(outcome_cols) > 1:
-            raise SchemaMismatchError(f"multiple outcome columns: {outcome_cols}")
+            raise SchemaMismatchError(f"multiple outcome columns: {[c.name for c in outcome_cols]}")
+        if outcome_cols and not outcome_cols[0].is_categorical:
+            raise SchemaMismatchError(
+                f"outcome column {outcome_cols[0].name!r} is continuous; it must be binary or ordinal"
+            )
         missing = [n for n in names if n not in coded]
         if missing:
             raise SchemaMismatchError(f"no data for columns: {missing}")
@@ -336,17 +340,17 @@ def complete_cases(dataset: Dataset, columns: Sequence[str]) -> DatasetView:
     return DatasetView(dataset, cols, np.nonzero(keep)[0])
 
 
-def summarize(dataset: Dataset, by_outcome: bool = True) -> dict:
+def summarize(dataset: Dataset, outcome: str | None) -> dict:
     """Per-column occurrence counts (per outcome class) plus moments/level counts.
 
     Returns the report's ``summary`` section: the outcome, its levels, and
-    one dict per column.
+    one dict per column. ``outcome`` is the analysed outcome, a binary or
+    ordinal column, whose levels each get a ``counts_by_class`` entry; with
+    None the summary is not split by outcome.
     """
-    outcome = None
     outcome_levels = None
     class_masks: list[np.ndarray] | None = None
-    if by_outcome:
-        outcome = dataset.outcome_column()
+    if outcome is not None:
         out_schema = dataset.schema_for(outcome)
         out_codes = dataset.coded(outcome)
         outcome_levels = list(out_schema.levels)
@@ -421,8 +425,8 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
     any other value that does not conform to the column kind/levels raises
     BadCellError naming the row and column rather than being coerced.
     Rows are checked in file order, each row's length before its cells.
-    A leading byte-order mark and an empty line after the header are
-    skipped; row numbers in errors still count the empty lines.
+    A leading byte-order mark and empty lines are skipped; row numbers in
+    errors count the lines after the header, empty ones included.
 
     Each column's codes go straight into an ``array("d")`` of 8 bytes per
     cell, and the Dataset copies them once, so the loader's peak memory is
@@ -432,10 +436,9 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
     want = [c.name for c in schema]
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _csv_rows(fh, path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatchError(f"{path}: empty CSV") from None
+        header = next((row for row in reader if row), None)  # empty lines before it are skipped
+        if header is None:
+            raise SchemaMismatchError(f"{path}: empty CSV")
         if sorted(header) != sorted(want):
             extra = sorted(set(header) - set(want))
             absent = sorted(set(want) - set(header))

@@ -101,4 +101,10 @@ class ExhaustedDrawsError(CausalTabError):
 # --- pipeline -------------------------------------------------------------
 
 class NoFeatureError(CausalTabError):
-    """A pipeline step has nothing left to analyse: no feature, or a constant outcome."""
+    """A pipeline step has nothing left to analyse.
+
+    A view of features and outcome has no feature, fewer complete rows
+    than ``min_rows`` (or none), an outcome constant as the tree splits it
+    (no row of code 0, or only such rows), or only constant features; or
+    the step-2 tree uses no feature, so step 3 has none.
+    """

@@ -227,10 +227,18 @@ def _plain(obj):
 
 
 def _resolve_outcome(dataset: Dataset, config: PipelineConfig) -> str:
-    """The analysed outcome, after checking that the prior names only dataset columns."""
+    """The analysed outcome, after checking that the prior names only dataset columns.
+
+    It is the config's ``outcome`` or else the schema's outcome column, and
+    must be binary or ordinal: every step, the summary included, analyses it.
+    """
     if config.prior is not None:
         config.prior.validate_names(dataset.column_names)
-    return config.outcome or dataset.outcome_column()
+    if not config.outcome:
+        return dataset.outcome_column()  # binary or ordinal, as Dataset checks
+    if not dataset.schema_for(config.outcome).is_categorical:
+        raise CausalTabError(f"outcome {config.outcome!r} is continuous; it must be binary or ordinal")
+    return config.outcome
 
 
 def _check_features(features: Sequence[str], outcome: str) -> None:
@@ -274,12 +282,13 @@ def _learn_view(
     config: PipelineConfig,
     ci_test: CITest | None,
 ) -> tuple[DatasetView, tuple[str, ...], FciResult, tuple[dict, ...], MixedGraph]:
-    """Search the complete cases of features + outcome, less their constant columns.
+    """Search the complete cases of features + outcome, less the constant features.
 
-    Returns the view, the dropped columns, the search result, the effect
+    Returns the view, the dropped features, the search result, the effect
     table and the graph annotated with it. Raises NoFeatureError when the
     view leaves nothing to analyse: no feature, fewer than ``min_rows`` rows
-    (or none), a constant outcome, or only constant features.
+    (or none), an outcome constant as the tree splits it (no row of code 0,
+    or only such rows), or only constant features.
     """
     if not features:
         raise NoFeatureError("no feature to analyse")
@@ -288,9 +297,9 @@ def _learn_view(
     if view.n_rows < max(config.min_rows, 1):
         n, limit = view.n_rows, config.min_rows
         raise NoFeatureError(f"the joint complete cases hold {n} rows, fewer than min_rows={limit}")
-    dropped = tuple(c for c in cols if np.all((vals := view.coded(c)) == vals[0]))
-    if outcome in dropped:
+    if np.count_nonzero(view.coded(outcome) == 0) in (0, view.n_rows):
         raise NoFeatureError("outcome is constant on the joint complete cases")
+    dropped = tuple(c for c in features if np.all((vals := view.coded(c)) == vals[0]))
     if len(dropped) == len(features):
         raise NoFeatureError(
             f"every selected feature is constant on the joint complete cases: {', '.join(dropped)}"
@@ -506,7 +515,7 @@ def run_full(
     return PipelineReport(
         config=config,
         outcome=outcome,
-        summary=summarize(dataset),
+        summary=summarize(dataset, outcome),
         step1=step1,
         step2=step2,
         step3=step3,

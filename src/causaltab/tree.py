@@ -171,10 +171,12 @@ class _Presort(NamedTuple):
     order: np.ndarray  # (F x n): row f holds the rows sorted by feature f, as flat indices
 
 
-def _presort(view: DatasetView, features: list[str], outcome: str) -> _Presort:
-    """Read the view's complete feature matrix and sort every feature of it once, stably."""
+def _presort(view: DatasetView, features: list[str], y: np.ndarray) -> _Presort:
+    """Read the view's complete feature matrix and sort every feature of it once, stably.
+
+    ``y`` holds the view's outcome codes.
+    """
     X = view.matrix(features)
-    y = view.matrix([outcome])[:, 0]
     if X.shape[0] == 0:
         raise EmptyDataError("no rows to fit on")
     n, n_features = X.shape
@@ -213,7 +215,7 @@ def fit_tree(
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     features = list(features)
     if presorted is None:
-        presort = _presort(view, features, outcome)
+        presort = _presort(view, features, view.matrix([outcome])[:, 0])
         presorted = presort, np.ones(presort.rows0.size, dtype=bool)
     presort, rows = presorted
     n, n0 = int(np.count_nonzero(rows)), int(np.count_nonzero(presort.rows0 & rows))
@@ -336,9 +338,10 @@ def kfold_cv(
 ) -> Metrics:
     """Stratified k-fold cross-validation; rates are fold averages.
 
-    The view's feature matrix is checked and presorted once. Each fold's
-    tree grows from that presort masked to the fold's training rows (see
-    ``fit_tree``), and is scored on the test rows of the same matrix.
+    The view's outcome codes are read once, and its feature matrix is
+    checked and presorted once. Each fold's tree grows from that presort
+    masked to the fold's training rows (see ``fit_tree``), and is scored
+    on the test rows of the same matrix.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -352,7 +355,7 @@ def kfold_cv(
     for f, test in enumerate(tests):
         if not test.any() or test.all():
             raise TooFewRowsError(f"fold {f} is empty with k={k}, n={view.n_rows}")
-    presort = _presort(view, features, outcome)
+    presort = _presort(view, features, y)
     X = presort.XT.T
     index = {f: j for j, f in enumerate(features)}
 

@@ -355,11 +355,17 @@ PATHOLOGIES = (
     "copy-of-outcome",
     "ordinal-outcome-with-a-third-code",
     "category-below-min-rows",
+    "ordinal-outcome-without-code-0",
+    "continuous-outcome",
 )
 
 
 def _pathology_table(ds: Dataset, name: str) -> Dataset:
-    """The cohort with one pathology; a column named OUTCOME replaces the outcome."""
+    """The cohort with one pathology; a column named OUTCOME replaces the outcome.
+
+    A Dataset refuses a continuous outcome, so ``_write_pathology`` declares
+    that one in the schema file only.
+    """
     n = ds.n_rows
     rng = np.random.default_rng(0)
 
@@ -400,6 +406,11 @@ def _pathology_table(ds: Dataset, name: str) -> Dataset:
             (ColumnSchema("OUTCOME", "ordinal", "outcome", levels=("0", "1", "2")), outcome),
         ],
         "category-below-min-rows": [(continuous(f"S{i}", "small"), observed(15)) for i in range(2)],
+        "ordinal-outcome-without-code-0": [
+            (ColumnSchema("OUTCOME", "ordinal", "outcome", levels=("0", "1", "2")),
+             ds.coded("OUTCOME") + 1),
+        ],
+        "continuous-outcome": [],
     }[name]
     schema = {c.name: c for c in ds.schema}
     coded = {c.name: ds.coded(c.name) for c in ds.schema}
@@ -409,16 +420,29 @@ def _pathology_table(ds: Dataset, name: str) -> Dataset:
     return Dataset(list(schema.values()), coded)
 
 
+def _write_pathology(cohort_dir: Path, tmp_path: Path, name: str) -> list[str]:
+    """Write the cohort with one pathology; returns its ``--data`` and ``--schema`` arguments."""
+    ds = _pathology_table(
+        load_csv(cohort_dir / "cohort.csv", cohort_dir / "cohort.schema.json"), name
+    )
+    csv_path, schema_path = tmp_path / "table.csv", tmp_path / "table.schema.json"
+    ds.write_csv(csv_path)
+    ds.write_schema(schema_path)
+    if name == "continuous-outcome":
+        schema = json.loads(schema_path.read_text())
+        for col in schema:
+            if col["name"] == "OUTCOME":
+                col["kind"] = "continuous"
+                del col["levels"]
+        schema_path.write_text(json.dumps(schema))
+    return ["--data", str(csv_path), "--schema", str(schema_path)]
+
+
 @pytest.mark.parametrize("pathology", PATHOLOGIES)
 def test_pathology_gives_a_report_or_one_line_error(cohort_dir, tmp_path, capsys, pathology):
-    ds = _pathology_table(
-        load_csv(cohort_dir / "cohort.csv", cohort_dir / "cohort.schema.json"), pathology
-    )
-    ds.write_csv(tmp_path / "table.csv")
-    ds.write_schema(tmp_path / "table.schema.json")
     out = tmp_path / "out"
     status = main([
-        "run", "--data", str(tmp_path / "table.csv"), "--schema", str(tmp_path / "table.schema.json"),
+        "run", *_write_pathology(cohort_dir, tmp_path, pathology),
         "--seed", "1", "--permutation-trials", "5", "--out", str(out),
     ])
     err = capsys.readouterr().err
@@ -427,3 +451,89 @@ def test_pathology_gives_a_report_or_one_line_error(cohort_dir, tmp_path, capsys
     else:
         assert status == 1
         assert err.startswith("causaltab: ") and err.count("\n") == 1, err
+
+
+def test_outcome_without_code_0_writes_step1_report(cohort_dir, tmp_path):
+    # every row holds outcome code 1 or 2, so the tree's split (code 0
+    # against every other code) leaves one class: every category is
+    # skipped and step 2 has nothing to analyse
+    out = tmp_path / "out"
+    assert main([
+        "run", *_write_pathology(cohort_dir, tmp_path, "ordinal-outcome-without-code-0"),
+        "--seed", "1", "--permutation-trials", "3", "--out", str(out),
+    ]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"config", "outcome", "summary", "step1"}
+    assert report["step1"] == {"per_category": [], "selected_features": []}
+
+
+@pytest.mark.parametrize("command", ["summarize", "run"])
+def test_continuous_outcome_column_is_one_line_error(cohort_dir, tmp_path, capsys, command):
+    args = [command, *_write_pathology(cohort_dir, tmp_path, "continuous-outcome")]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "causaltab: outcome column 'OUTCOME' is continuous; it must be binary or ordinal\n"
+    )
+
+
+def test_continuous_outcome_override_fails_before_step1(cohort_dir, tmp_path, capsys, monkeypatch):
+    import causaltab.pipeline
+
+    def step1_per_category(*args):
+        raise AssertionError("step 1 ran")
+
+    monkeypatch.setattr(causaltab.pipeline, "step1_per_category", step1_per_category)
+    out = tmp_path / "out"
+    assert main(["run", *_data_args(cohort_dir), "--outcome", "AGE", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "causaltab: outcome 'AGE' is continuous; it must be binary or ordinal\n"
+    assert not out.exists()
+
+
+def test_outcome_override_splits_the_summary(cohort_dir, tmp_path):
+    out = tmp_path / "out"
+    assert main([
+        "run", *_data_args(cohort_dir), "--outcome", "COPD",
+        "--seed", "1", "--permutation-trials", "3", "--out", str(out),
+    ]) == 0
+    report = json.loads((out / "report.json").read_text())
+    summary = report["summary"]
+    assert report["outcome"] == summary["outcome"] == "COPD"
+    assert summary["outcome_levels"] == ["0", "1"]
+    copd = next(c for c in summary["columns"] if c["name"] == "COPD")
+    assert copd["counts_by_class"] == [copd["level_counts"]["0"], copd["level_counts"]["1"]]
+
+
+def test_outcome_override_without_an_outcome_category_writes_a_report(cohort_dir, tmp_path):
+    # the same analysis as with the schema's outcome category: only the
+    # category that the summary lists for OUTCOME differs
+    schema = json.loads((cohort_dir / "cohort.schema.json").read_text())
+    for col in schema:
+        if col["category"] == "outcome":
+            col["category"] = "status"
+    (tmp_path / "status.schema.json").write_text(json.dumps(schema))
+    config = ["--outcome", "OUTCOME", "--seed", "1", "--permutation-trials", "3"]
+    runs = {}
+    for name, schema_path in [
+        ("status", tmp_path / "status.schema.json"), ("outcome", cohort_dir / "cohort.schema.json")
+    ]:
+        out = tmp_path / name
+        assert main([
+            "run", "--data", str(cohort_dir / "cohort.csv"), "--schema", str(schema_path),
+            *config, "--out", str(out),
+        ]) == 0
+        runs[name] = json.loads((out / "report.json").read_text())
+    status, outcome = runs["status"], runs["outcome"]
+    assert status["summary"]["outcome"] == "OUTCOME" and "step3" in status
+    row = next(c for c in status["summary"]["columns"] if c["name"] == "OUTCOME")
+    assert row["category"] == "status"
+    row["category"] = "outcome"
+    assert status == outcome
+
+
+def test_summarize_without_outcome_split(cohort_dir, capsys):
+    assert main(["summarize", *_data_args(cohort_dir), "--no-outcome-split"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["outcome"] is None and payload["outcome_levels"] is None
+    assert all("counts_by_class" not in c for c in payload["columns"])

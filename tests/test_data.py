@@ -232,7 +232,9 @@ class TestCsvMatchesRowWiseReference:
         assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("edit", ["byte-order mark", "empty line inside", "empty line at the end"])
+@pytest.mark.parametrize(
+    "edit", ["byte-order mark", "empty line before the header", "empty line inside", "empty line at the end"]
+)
 def test_byte_order_mark_and_empty_lines_load_as_the_original(tmp_path, edit):
     ds = mixed_table(0)
     csv_path, schema_path = tmp_path / "t.csv", tmp_path / "t.schema.json"
@@ -244,6 +246,8 @@ def test_byte_order_mark_and_empty_lines_load_as_the_original(tmp_path, edit):
         # Excel's "CSV UTF-8" export starts the file with one
         for path in (csv_path, schema_path):
             path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    elif edit == "empty line before the header":
+        csv_path.write_bytes(b"\n" + b"".join(lines))
     elif edit == "empty line inside":
         csv_path.write_bytes(b"".join([*lines[:5], b"\r\n", *lines[5:]]))
     else:
@@ -392,7 +396,7 @@ class TestSummarize:
             ColumnSchema("OUTCOME", "binary", "outcome", levels=("0", "1")),
         ]
         ds = Dataset(schema, {"AGE": age, "OUTCOME": out})
-        summary = summarize(ds)
+        summary = summarize(ds, "OUTCOME")
         row = next(r for r in summary["columns"] if r["name"] == "AGE")
         assert abs(row["mean"] - 66.6) < 3 * 15.9 / math.sqrt(n)
 
@@ -405,7 +409,7 @@ class TestSummarize:
             schema,
             {"X": np.full(5, np.nan), "OUTCOME": np.array([0.0, 1, 0, 1, 1])},
         )
-        row = next(r for r in summarize(ds)["columns"] if r["name"] == "X")
+        row = next(r for r in summarize(ds, "OUTCOME")["columns"] if r["name"] == "X")
         assert row["counts_by_class"] == [0, 0]
 
     def test_binary_counts_per_class(self):
@@ -415,7 +419,7 @@ class TestSummarize:
         ]
         out = np.array([0.0] * 10 + [1.0] * 20)
         ds = Dataset(schema, {"X": np.ones(30), "OUTCOME": out})
-        row = next(r for r in summarize(ds)["columns"] if r["name"] == "X")
+        row = next(r for r in summarize(ds, "OUTCOME")["columns"] if r["name"] == "X")
         assert row["counts_by_class"] == [10, 20]
         assert row["level_counts"] == {"0": 0, "1": 30}
 
@@ -430,7 +434,7 @@ class TestSummarize:
         ds = Dataset(
             schema, {"X": vals, "OUTCOME": (rng.random(40) < 0.5).astype(float)}
         )
-        row = next(r for r in summarize(ds)["columns"] if r["name"] == "X")
+        row = next(r for r in summarize(ds, "OUTCOME")["columns"] if r["name"] == "X")
         assert sum(row["counts_by_class"]) == row["total_nonmissing"]
 
     def test_json_is_serializable(self):
@@ -439,7 +443,7 @@ class TestSummarize:
             ColumnSchema("OUTCOME", "binary", "outcome", levels=("0", "1")),
         ]
         ds = Dataset(schema, {"X": np.arange(4.0), "OUTCOME": np.array([0.0, 1, 0, 1])})
-        text = json.dumps(summarize(ds), indent=2, sort_keys=True)
+        text = json.dumps(summarize(ds, "OUTCOME"), indent=2, sort_keys=True)
         assert '"AGE"' not in text
         assert '"columns"' in text
 
@@ -460,3 +464,12 @@ def test_two_outcome_columns_rejected():
     ]
     with pytest.raises(SchemaMismatchError):
         Dataset(schema, {"A": np.zeros(2), "B": np.zeros(2)})
+
+
+def test_continuous_outcome_column_rejected():
+    schema = [
+        ColumnSchema("A", "binary", "c", levels=("0", "1")),
+        ColumnSchema("Y", "continuous", "outcome"),
+    ]
+    with pytest.raises(SchemaMismatchError, match="outcome column 'Y' is continuous"):
+        Dataset(schema, {"A": np.zeros(2), "Y": np.zeros(2)})

@@ -252,7 +252,7 @@ def test_fci_and_effect_table_standardize_a_mixed_view_once(monkeypatch):
         [
             ColumnSchema("X", "continuous", "c"),
             ColumnSchema("B", "binary", "c", levels=("0", "1")),
-            ColumnSchema("Y", "continuous", "outcome"),
+            ColumnSchema("Y", "continuous", "c"),
         ],
         {"X": x, "B": b, "Y": y},
     )

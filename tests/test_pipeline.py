@@ -113,6 +113,25 @@ def joint_rows_table(k: int) -> Dataset:
     return Dataset(schema, {"A": a, "B": b, "Y": outcome})
 
 
+def no_code_0_table() -> Dataset:
+    """300 rows of a three-level outcome Y whose code 0 rows miss feature LATE.
+
+    S (category signal) is observed everywhere and LATE (category late)
+    only where Y is 1 or 2; both track Y. Split as the tree splits it, code
+    0 against every other code, Y is constant wherever LATE is observed.
+    """
+    rng = np.random.default_rng(0)
+    outcome = rng.integers(0, 3, size=300).astype(float)
+    s = outcome + 0.5 * rng.standard_normal(300)
+    late = np.where(outcome == 0, np.nan, outcome + 0.5 * rng.standard_normal(300))
+    schema = [
+        ColumnSchema("S", "continuous", "signal"),
+        ColumnSchema("LATE", "continuous", "late"),
+        ColumnSchema("Y", "ordinal", "outcome", levels=("0", "1", "2")),
+    ]
+    return Dataset(schema, {"S": s, "LATE": late, "Y": outcome})
+
+
 def run_step2_command(ds: Dataset, tmp_path, *extra: str) -> int:
     """``causaltab step2 --features A,B`` on ``ds`` written to ``tmp_path``."""
     from causaltab.cli import main
@@ -185,6 +204,12 @@ class TestStep1:
             "OUTCOME": (latent > 0).astype(float),
         }
         result = step1_per_category(Dataset(schema, cols), QUIET)
+        assert [c.category for c in result.per_category] == ["signal"]
+        assert result.selected_features == ("S",)
+
+    def test_category_whose_outcome_is_constant_as_the_tree_splits_it_is_skipped(self):
+        # LATE's view holds outcome codes 1 and 2 but no code 0
+        result = step1_per_category(no_code_0_table(), QUIET)
         assert [c.category for c in result.per_category] == ["signal"]
         assert result.selected_features == ("S",)
 
@@ -281,6 +306,10 @@ class TestStep2:
         ds = outcome_constant_together_table()
         with pytest.raises(NoFeatureError, match="outcome is constant on the joint complete cases"):
             step2_integrated(ds, ["A", "B"], QUIET)
+
+    def test_outcome_without_code_0_on_the_joint_view_is_no_feature_error(self):
+        with pytest.raises(NoFeatureError, match="outcome is constant on the joint complete cases"):
+            step2_integrated(no_code_0_table(), ["S", "LATE"], QUIET)
 
     @pytest.mark.parametrize(
         "features, message",

@@ -3,7 +3,7 @@ import gc
 import numpy as np
 import pytest
 
-from causaltab.data import ColumnSchema, Dataset, complete_cases
+from causaltab.data import ColumnSchema, Dataset, DatasetView, complete_cases
 from causaltab.errors import (
     EmptyDataError,
     ExhaustedDrawsError,
@@ -687,6 +687,20 @@ class TestCallStructure:
         fits = self.record(monkeypatch, "fit_tree")
         kfold_cv(cohort_with_noise().view(), ["S1", "N0"], "Y", k=7, max_depth=3, seed=0)
         assert len(fits) == 7
+
+    def test_kfold_cv_reads_its_view_once(self, monkeypatch):
+        # one read of the outcome codes and one of the feature matrix serve
+        # the folds, their presort and their scores
+        reads = []
+        real = DatasetView.matrix
+
+        def matrix(view, columns=None):
+            reads.append(list(columns))
+            return real(view, columns)
+
+        monkeypatch.setattr(DatasetView, "matrix", matrix)
+        kfold_cv(cohort_with_noise().view(), ["S1", "N0"], "Y", k=7, max_depth=3, seed=0)
+        assert reads == [["Y"], ["S1", "N0"]]
 
     def test_permutation_baseline_checks_each_draw_once(self, monkeypatch):
         full = cohort_with_noise()
