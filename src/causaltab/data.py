@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     BadCellError,
     IncompleteViewError,
+    NotCategoricalError,
     SchemaMismatchError,
     UnknownColumnError,
     ZeroVarianceError,
@@ -251,10 +252,10 @@ class Dataset:
 class DatasetView:
     """Read-only index overlay selecting rows and columns of a Dataset.
 
-    ``categorical_codes`` decodes the view's complete categorical columns
-    once, on first use, for the categorical CI tests that run on the view,
-    and ``standardized`` standardizes the view once, for its Fisher-z
-    tests and effect regressions.
+    ``categorical_bitsets`` packs the view's complete categorical columns
+    into per-level row bitsets once, on first use, for the G^2 tests that
+    run on the view, and ``standardized`` standardizes the view once, for
+    its Fisher-z tests and effect regressions.
     """
 
     source: Dataset
@@ -294,12 +295,19 @@ class DatasetView:
         return mat
 
     @cached_property
-    def categorical_codes(self) -> dict[str, tuple[np.ndarray, int]]:
-        """Read-only int64 codes and level count of each complete categorical column.
+    def categorical_bitsets(self) -> tuple[np.ndarray, dict[str, tuple[int, int]]]:
+        """Packed row bitsets of the view's complete categorical columns.
 
-        Continuous columns and columns with a missing cell are left out.
+        Row ``first + level`` of the read-only uint64 array holds one bit per
+        view row, set where the row has that level of the column; the dict
+        gives each column's ``(first, level count)``. Row 0 has every view
+        row set and belongs to no column. Bits past the last view row are
+        0, so popcounting an AND of rows counts view rows. Continuous
+        columns and columns with a missing cell are left out.
         """
-        out = {}
+        masks = [np.ones((1, self.n_rows), dtype=bool)]
+        columns: dict[str, tuple[int, int]] = {}
+        first = 1
         for name in self.columns:
             sch = self.schema_for(name)
             if not sch.is_categorical:
@@ -307,10 +315,15 @@ class DatasetView:
             arr = self.coded(name)
             if np.isnan(arr).any():
                 continue
-            codes = arr.astype(np.int64)
-            codes.flags.writeable = False
-            out[name] = (codes, sch.n_levels)
-        return out
+            masks.append(arr == np.arange(sch.n_levels)[:, None])
+            columns[name] = (first, sch.n_levels)
+            first += sch.n_levels
+        packed = np.packbits(np.concatenate(masks), axis=1, bitorder="little")
+        words = np.zeros((first, -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+        words[:, :packed.shape[1]] = packed
+        words = words.view(np.uint64)
+        words.flags.writeable = False
+        return words, columns
 
     @cached_property
     def standardized(self) -> np.ndarray:
@@ -346,12 +359,17 @@ def summarize(dataset: Dataset, outcome: str | None) -> dict:
     Returns the report's ``summary`` section: the outcome, its levels, and
     one dict per column. ``outcome`` is the analysed outcome, a binary or
     ordinal column, whose levels each get a ``counts_by_class`` entry; with
-    None the summary is not split by outcome.
+    None the summary is not split by outcome. A continuous ``outcome``
+    raises NotCategoricalError.
     """
     outcome_levels = None
     class_masks: list[np.ndarray] | None = None
     if outcome is not None:
         out_schema = dataset.schema_for(outcome)
+        if not out_schema.is_categorical:
+            raise NotCategoricalError(
+                f"column {outcome!r} is {out_schema.kind}, not categorical"
+            )
         out_codes = dataset.coded(outcome)
         outcome_levels = list(out_schema.levels)
         class_masks = [out_codes == k for k in range(out_schema.n_levels)]

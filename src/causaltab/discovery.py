@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -56,10 +56,10 @@ __all__ = [
 #: A conditional-independence test: (x, y, conditioning set) -> p-value.
 CITest = Callable[[str, str, tuple[str, ...]], float]
 
-#: The most conditioning sets of one pair and level that the searches hand
-#: to a CI test's batch path at once. A larger chunk pays numpy's per-call
-#: cost over more sets, but computes more sets that are never asked, once
-#: an earlier set has removed the edge.
+#: The most conditioning sets of one search that a round hands to a CI
+#: test's batch path. A chunk never spans set sizes or possible-d-sep
+#: anchors. A larger chunk makes fewer rounds, but computes more sets that
+#: are never asked, once an earlier set has removed the edge.
 _CHUNK = 32
 
 
@@ -110,12 +110,12 @@ def mixed_ci_test(view: DatasetView) -> CITest:
     change the p-value in its last bits. A query that raises stores
     nothing and raises again when repeated.
 
-    Its batch path, ``prefetch(x, y, subsets)``, answers a chunk of one
-    pair's sets of one level into the memo with one call per kind of the
-    batch kernel, of which each one-query test is a batch of one, so the
-    p-values are those of asking one at a time. The searches then
-    ask each set as before, so decisions and ``tests_run`` do not change,
-    and a set whose kernel would raise raises only when asked.
+    Its batch path, ``prefetch(queries)``, answers a search round's
+    queries, across pairs and set sizes, into the memo with one call per
+    kind of the batch kernel, of which each one-query test is a batch of
+    one, so the p-values are those of asking one at a time. The searches
+    then ask each query as before, so decisions and ``tests_run`` do not
+    change, and a query whose kernel would raise raises only when asked.
     """
     return _MixedCITest(view)
 
@@ -130,7 +130,8 @@ class _MixedCITest:
 
     def __init__(self, view: DatasetView):
         self.view = view
-        self.categorical = {c: view.schema_for(c).is_categorical for c in view.columns}
+        self.columns = frozenset(view.columns)
+        self.categorical = frozenset(c for c in view.columns if view.schema_for(c).is_categorical)
         self.answered: dict[tuple[str, str, tuple[str, ...]], float] = {}
 
     @cached_property
@@ -167,43 +168,43 @@ class _MixedCITest:
         A column outside the view raises UnknownColumnError.
         """
         names = (x, y, *given)
-        kinds = [self.categorical.get(name) for name in names]
-        if None in kinds:
-            name = names[kinds.index(None)]
-            raise UnknownColumnError(f"column {name!r} not selected in view")
-        return all(kinds)
+        if self.categorical.issuperset(names):
+            return True
+        if self.columns.issuperset(names):
+            return False
+        name = next(name for name in names if name not in self.columns)
+        raise UnknownColumnError(f"column {name!r} not selected in view")
 
-    def prefetch(self, x: str, y: str, subsets: list[tuple[str, ...]]) -> None:
-        """Answer (x, y, S) for every S in ``subsets`` into the memo, in batches.
+    def prefetch(self, queries: list[tuple[str, str, tuple[str, ...]]]) -> None:
+        """Answer every (x, y, S) of ``queries`` into the memo, in batches.
 
-        The sets must all have one size. Sets already answered are skipped;
-        the rest, a lone set of a kind included, go to their kind's batch
-        kernel. A chunk that names a column outside the view is left to the
-        one-query path, which raises.
+        The queries may mix pairs and set sizes. Queries already answered
+        are skipped; the rest go to their kind's batch kernel, one call per
+        kind. A query naming a column outside the view, or one whose kernel
+        would raise, is left to the one-query path, which raises.
         """
         answered = self.answered
-        g2: list[tuple[str, ...]] = []
-        fz: list[tuple[str, ...]] = []
-        try:
-            for s in subsets:
-                if (x, y, s) not in answered:
-                    (g2 if self._uses_g2(x, y, s) else fz).append(s)
-        except UnknownColumnError:
-            return
-        found = list(zip(g2, g_squared_batch(x, y, g2, self.view))) if g2 else []
+        g2: list[tuple[str, str, tuple[str, ...]]] = []
+        fz: list[tuple[str, str, tuple[str, ...]]] = []
+        for query in queries:
+            if query in answered:
+                continue
+            try:
+                (g2 if self._uses_g2(*query) else fz).append(query)
+            except UnknownColumnError:
+                pass
+        found = list(zip(g2, g_squared_batch(g2, self.view))) if g2 else []
         if fz:
             try:
                 corr, index = self._correlation
             except CausalTabError:
                 pass  # raised again by the first query that asks
             else:
-                givens = [[index[c] for c in s] for s in fz]
-                found += zip(
-                    fz, fisher_z_batch(corr, self.view.n_rows, index[x], index[y], givens)
-                )
-        for s, p in found:
+                indexed = [(index[x], index[y], [index[c] for c in s]) for x, y, s in fz]
+                found += zip(fz, fisher_z_batch(corr, self.view.n_rows, indexed))
+        for query, p in found:
             if p is not None:
-                answered[(x, y, s)] = p
+                answered[query] = p
 
 
 def oracle_ci_test(dag: MixedGraph) -> CITest:
@@ -224,28 +225,65 @@ def oracle_ci_test(dag: MixedGraph) -> CITest:
     return test
 
 
-def _separating_set(
-    ci: CITest, x: str, y: str, subsets: Iterable[tuple[str, ...]], alpha: float
-) -> tuple[int, tuple[str, ...] | None]:
-    """Ask ``ci`` about (x, y, S) for each S in turn until one gives p > alpha.
+def _chunks(subsets: Iterable[tuple[str, ...]]) -> Iterator[list[tuple[str, ...]]]:
+    """``subsets`` in consecutive lists of up to ``_CHUNK`` sets."""
+    subsets = iter(subsets)
+    while chunk := list(islice(subsets, _CHUNK)):
+        yield chunk
 
-    Returns the number of queries asked and that S, or None. A test with a
-    ``prefetch`` method is first handed each chunk of up to ``_CHUNK``
-    sets, so it can answer them together; the queries are then asked one
-    at a time all the same, so the decision and the count are those of
-    asking one at a time.
+
+#: One search for a separating set of x and y: its conditioning sets in
+#: chunks, each asked in order until one gives p > alpha.
+Search = tuple[str, str, Iterator[list[tuple[str, ...]]]]
+
+
+def _run_searches(
+    ci: CITest, searches: list[Search], alpha: float
+) -> list[tuple[int, tuple[str, ...] | None] | CausalTabError | None]:
+    """Run independent searches in rounds; the outcome of each, in order.
+
+    An outcome is (queries asked, the separating set or None), or the
+    package error the search raised, which the caller raises in turn. In
+    each round, a test with a ``prefetch`` method is handed every live
+    search's next chunk in one call, so it can answer them together. Each
+    search then asks its chunk one query at a time, so its outcome is that
+    of asking alone. Once a search has raised, the searches after it are
+    not run on (their outcome stays None): searching one at a time, the
+    first one raising ends the stage.
     """
     prefetch = getattr(ci, "prefetch", None)
-    subsets = iter(subsets)
-    asked = 0
-    while chunk := list(islice(subsets, _CHUNK)):
-        if prefetch is not None:
-            prefetch(x, y, chunk)
-        for sset in chunk:
-            asked += 1
-            if ci(x, y, sset) > alpha:
-                return asked, sset
-    return asked, None
+    outcomes: list = [None] * len(searches)
+    asked = [0] * len(searches)
+    live = list(range(len(searches)))
+    failed = len(searches)
+    while live:
+        turn = []
+        for k in live:
+            if k > failed:
+                break
+            chunk = next(searches[k][2], None)
+            if chunk is None:
+                outcomes[k] = asked[k], None
+            else:
+                turn.append((k, chunk))
+        if prefetch is not None and turn:
+            prefetch([(searches[k][0], searches[k][1], s) for k, chunk in turn for s in chunk])
+        live = []
+        for k, chunk in turn:
+            if k > failed:
+                break
+            x, y, _ = searches[k]
+            try:
+                for sset in chunk:
+                    asked[k] += 1
+                    if ci(x, y, sset) > alpha:
+                        outcomes[k] = asked[k], sset
+                        break
+                else:
+                    live.append(k)
+            except CausalTabError as exc:
+                outcomes[k], failed = exc, min(failed, k)
+    return outcomes
 
 
 def learn_skeleton(
@@ -260,6 +298,13 @@ def learn_skeleton(
     frozen at the level start, so the output does not depend on the order
     in which pairs are processed within a level. Forbidden pairs are
     removed up front with an empty sepset; required pairs are never tested.
+
+    A level's searches are therefore independent, and run together in
+    rounds, in two waves: first each pair searched from its earlier
+    column, then from its later column each pair still adjacent. Outcomes
+    are applied in the loop order of searching one pair at a time, so the
+    graph, sepsets, ``tests_run`` and the first error raised are those of
+    that loop.
     """
     config = config or LearnConfig()
     cols = list(view.columns)
@@ -287,23 +332,44 @@ def learn_skeleton(
         frozen = {c: sorted(adj[c], key=order.__getitem__) for c in cols}
         if not any(len(frozen[x]) >= level + 1 for x in cols):
             break
+        # every search of the level, in turn order: pair (x, y) is searched
+        # from x and, if still adjacent, again from y
+        turns: list[Search] = []
         for x in cols:
             for y in frozen[x]:
-                if y not in adj[x]:
-                    continue  # removed earlier in this level
                 if prior is not None and prior.requires(x, y):
                     continue
                 candidates = [c for c in frozen[x] if c != y]
-                if len(candidates) < level:
-                    continue
-                asked, sset = _separating_set(
-                    ci, x, y, combinations(candidates, level), config.alpha
-                )
-                tests_run += asked
-                if sset is not None:
-                    adj[x].discard(y)
-                    adj[y].discard(x)
-                    sepsets.record(x, y, sset)
+                if len(candidates) >= level:
+                    turns.append((x, y, _chunks(combinations(candidates, level))))
+        forward = [k for k, (x, y, _) in enumerate(turns) if order[x] < order[y]]
+        outcomes = dict(zip(
+            forward, _run_searches(ci, [turns[k] for k in forward], config.alpha)
+        ))
+        # a reverse search runs only if its forward search kept the edge,
+        # and only before the turn of the first forward search that raised
+        failed = next((k for k in forward if isinstance(outcomes[k], CausalTabError)), len(turns))
+        separated = {
+            (turns[k][0], turns[k][1]) for k in forward if k < failed and outcomes[k][1] is not None
+        }
+        reverse = [
+            k for k, (x, y, _) in enumerate(turns[:failed])
+            if order[x] > order[y] and (y, x) not in separated
+        ]
+        outcomes.update(zip(
+            reverse, _run_searches(ci, [turns[k] for k in reverse], config.alpha)
+        ))
+        for k in sorted(outcomes):
+            outcome = outcomes[k]
+            if isinstance(outcome, CausalTabError):
+                raise outcome
+            asked, sset = outcome
+            tests_run += asked
+            if sset is not None:
+                x, y, _ = turns[k]
+                adj[x].discard(y)
+                adj[y].discard(x)
+                sepsets.record(x, y, sset)
         level += 1
 
     graph = MixedGraph(cols)
@@ -371,36 +437,40 @@ def possible_dsep_prune(
     """Test remaining edges against possible-d-sep subsets and re-orient.
 
     Expects v-structures already oriented. Conditioning sets are drawn in
-    the graph's node order.
+    the graph's node order, from x's possible-d-sep set and then from y's,
+    by increasing size. The edges' searches are independent of each other,
+    so they run together in rounds; each search's chunks never span set
+    sizes or anchors.
     """
     order = {c: i for i, c in enumerate(graph.nodes)}
-    g = graph.copy()
-    seps = sepsets.copy()
-    tests_run = 0
     # possible-d-sep sets are computed on the graph as handed in, as usual
     pd_cache: dict[str, set[str]] = {}
-    for e in graph.edges():
-        x, y = e.u, e.v
-        if prior is not None and prior.requires(x, y):
-            continue
-        removed = False
+
+    def chunks(x: str, y: str) -> Iterator[list[tuple[str, ...]]]:
         for anchor in (x, y):
             if anchor not in pd_cache:
                 pd_cache[anchor] = possible_dsep_set(graph, anchor)
             pool = sorted(pd_cache[anchor] - {x, y}, key=order.__getitem__)
             limit = len(pool) if config.max_cond_size is None else min(config.max_cond_size, len(pool))
             for size in range(1, limit + 1):
-                asked, sset = _separating_set(
-                    ci_test, x, y, combinations(pool, size), config.alpha
-                )
-                tests_run += asked
-                if sset is not None:
-                    g.remove_edge(x, y)
-                    seps.record(x, y, sset)
-                    removed = True
-                    break
-            if removed:
-                break
+                yield from _chunks(combinations(pool, size))
+
+    edges = [
+        (e.u, e.v) for e in graph.edges() if prior is None or not prior.requires(e.u, e.v)
+    ]
+    g = graph.copy()
+    seps = sepsets.copy()
+    tests_run = 0
+    for (x, y), outcome in zip(edges, _run_searches(
+        ci_test, [(x, y, chunks(x, y)) for x, y in edges], config.alpha
+    )):
+        if isinstance(outcome, CausalTabError):
+            raise outcome
+        asked, sset = outcome
+        tests_run += asked
+        if sset is not None:
+            g.remove_edge(x, y)
+            seps.record(x, y, sset)
     pruned = SkeletonResult(g.skeleton(), seps, tests_run)
     return SkeletonResult(orient_v_structures(pruned), seps, tests_run)
 

@@ -2,14 +2,19 @@
 
 All operations are pure and deterministic; repeated calls on identical
 inputs are bit-identical. Each CI test has one kernel, over a batch of
-conditioning sets of one size; a single test is a batch of one.
+queries (x, y, S) that may mix pairs and set sizes, so that a search
+round's queries are answered together; a single test is a batch of one.
+The Fisher-z kernel inverts the submatrices of each set size as one
+stack. The G^2 kernel counts every cell of every table as the popcount of
+an AND of the view's packed per-level row bitsets, in slices of at most
+``_SLICE_BYTES``, and scores the tables in one vectorized pass per slice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import chain, groupby
 from typing import NoReturn, Sequence
 
 import numpy as np
@@ -27,6 +32,12 @@ from .errors import (
     ZeroBaseError,
     ZeroVarianceError,
 )
+
+#: The most bytes of AND-ed row bitsets, one per table cell, that the G^2
+#: kernel builds at once. A batch's tables are counted and scored in slices
+#: of this size, so a search round of thousands of tables stays small in
+#: memory; a larger slice pays numpy's per-call cost over more cells.
+_SLICE_BYTES = 1 << 19
 
 __all__ = [
     "TestResult",
@@ -81,36 +92,36 @@ class ContingencyTable2x2:
         return self.a + self.b + self.c + self.d
 
 
-def chisq_sf(x: float | np.ndarray, dof: float) -> float | np.ndarray:
+def chisq_sf(x: float | np.ndarray, dof: float | np.ndarray) -> float | np.ndarray:
     """Chi-square survival function P(X > x) with ``dof`` degrees of freedom.
 
-    ``x`` may be an array, which gives an array of the same shape:
-    ``gammaincc`` is one ufunc, so each entry equals the scalar call's.
+    ``x`` and ``dof`` may be arrays, which broadcast: ``gammaincc`` is one
+    ufunc, so each entry equals the scalar call's.
     """
     x = np.asarray(x, dtype=float)
     # one ufunc reduction rather than (x < 0).any(): a G^2 batch checks its
     # statistics here, and on small batches numpy's per-call cost dominates
     if np.minimum.reduce(x, axis=None, initial=0.0) < 0:
         raise DomainError(f"chisq_sf: x must be >= 0, got {np.min(x)}")
-    if dof <= 0:
-        raise DomainError(f"chisq_sf: dof must be > 0, got {dof}")
+    if np.minimum.reduce(dof, axis=None) <= 0:
+        raise DomainError(f"chisq_sf: dof must be > 0, got {np.min(dof)}")
     sf = gammaincc(dof / 2.0, x / 2.0)
     return float(sf) if sf.ndim == 0 else sf
 
 
 def _partial_correlations(
-    corr: np.ndarray, i: int, j: int, givens: Sequence[Sequence[int]]
+    corr: np.ndarray, queries: Sequence[tuple[int, int, Sequence[int]]]
 ) -> list[float | None]:
-    """Partial correlation of variables i, j given each set of ``givens``, all of one size.
+    """Partial correlation of i and j given S for each (i, j, S) of ``queries``, all of one size.
 
     The correlation submatrices of (i, j, S) are inverted by one
     ``np.linalg.inv`` over the stack, which raises LinAlgError when any of
     them is singular. An entry is None where the inverse gives no
     correlation: inv00 * inv11 is not finite or not positive.
     """
-    if not givens[0]:
-        return [float(corr[i, j])] * len(givens)
-    idx = np.array([[i, j, *given] for given in givens])
+    if not queries[0][2]:
+        return [float(corr[i, j]) for i, j, _ in queries]
+    idx = np.array([[i, j, *given] for i, j, given in queries])
     inv = np.linalg.inv(corr[idx[:, :, None], idx[:, None, :]])
     denoms = (inv[:, 0, 0] * inv[:, 1, 1]).tolist()
     return [
@@ -127,7 +138,7 @@ def fisher_z_from_correlation(
     if n - k - 3 <= 0:
         raise SampleTooSmallError(f"need n > |S| + 3; n={n}, |S|={k}")
     try:
-        (rho,) = _partial_correlations(corr, i, j, [given])
+        (rho,) = _partial_correlations(corr, [(i, j, given)])
     except np.linalg.LinAlgError:
         raise SingularCorrelationError(
             f"correlation submatrix for ({i}, {j} | {tuple(given)}) is singular"
@@ -153,39 +164,47 @@ def _fisher_z(rho: float, dof: int) -> tuple[float, float]:
 
 
 def fisher_z_batch(
-    corr: np.ndarray, n: int, i: int, j: int, givens: Sequence[Sequence[int]]
+    corr: np.ndarray, n: int, queries: Sequence[tuple[int, int, Sequence[int]]]
 ) -> list[float | None]:
-    """P-values of ``fisher_z_from_correlation(corr, n, i, j, g)`` for each g in ``givens``.
+    """P-values of ``fisher_z_from_correlation(corr, n, i, j, S)`` for each (i, j, S) of ``queries``.
 
-    The sets must all have one size. An entry is None where the one-set
+    The queries may mix pairs and set sizes: the submatrices of each set
+    size are inverted as one stack. An entry is None where the one-query
     test would raise: too few rows, or a singular or ill-conditioned
-    submatrix. A singular submatrix leaves every entry at None.
+    submatrix. A singular submatrix voids only its own query: its stack is
+    then inverted one submatrix at a time.
     """
-    dof = n - _one_size(givens) - 3
-    if dof <= 0:
-        return [None] * len(givens)
-    try:
-        rhos = _partial_correlations(corr, i, j, givens)
-    except np.linalg.LinAlgError:
-        return [None] * len(givens)
-    return [None if rho is None else _fisher_z(rho, dof)[1] for rho in rhos]
-
-
-def _one_size(givens: Sequence[Sequence]) -> int:
-    """The size shared by every conditioning set of a batch."""
-    sizes = {len(given) for given in givens}
-    if len(sizes) != 1:
-        raise ValueError(f"a batch needs conditioning sets of one size, got sizes {sorted(sizes)}")
-    return sizes.pop()
+    out: list[float | None] = [None] * len(queries)
+    by_size: dict[int, list[int]] = {}
+    for q, (_, _, given) in enumerate(queries):
+        by_size.setdefault(len(given), []).append(q)
+    for size, positions in by_size.items():
+        dof = n - size - 3
+        if dof <= 0:
+            continue
+        group = [queries[q] for q in positions]
+        try:
+            rhos = _partial_correlations(corr, group)
+        except np.linalg.LinAlgError:
+            rhos = []
+            for query in group:
+                try:
+                    rhos += _partial_correlations(corr, [query])
+                except np.linalg.LinAlgError:
+                    rhos.append(None)
+        for q, rho in zip(positions, rhos):
+            if rho is not None:
+                out[q] = _fisher_z(rho, dof)[1]
+    return out
 
 
 def _raise_unfit_for_g2(names: Sequence[str], view: DatasetView) -> NoReturn:
     """Raise for the first of ``names`` that is no complete categorical column of the view.
 
     Columns are checked for kind first, then for view membership, then for
-    missing cells. Called when some name is missing from
-    ``view.categorical_codes``, so one of the checks fails: a categorical
-    column of the view that the mapping leaves out has a missing cell.
+    missing cells. Called when some name has no bitsets in
+    ``view.categorical_bitsets``, so one of the checks fails: a categorical
+    column of the view that the bitsets leave out has a missing cell.
     """
     for name in names:
         sch = view.schema_for(name)
@@ -193,7 +212,8 @@ def _raise_unfit_for_g2(names: Sequence[str], view: DatasetView) -> NoReturn:
             raise NotCategoricalError(f"column {name!r} is {sch.kind}, not categorical")
     for name in names:
         view.coded(name)  # UnknownColumnError outside the view
-    name = next(name for name in names if name not in view.categorical_codes)
+    _, columns = view.categorical_bitsets
+    name = next(name for name in names if name not in columns)
     raise IncompleteViewError(f"column {name!r} has missing cells in this view")
 
 
@@ -210,87 +230,137 @@ def g_squared_test(
     categorical column of the view raises NotCategoricalError,
     UnknownColumnError or IncompleteViewError.
     """
-    (scored,) = _g_squared_scores(x, y, [given], view)
+    (scored,) = _g_squared_scores([(x, y, given)], view)
     if scored is None:
         _raise_unfit_for_g2([x, y, *given], view)
     return TestResult(*scored)
 
 
 def g_squared_batch(
-    x: str, y: str, givens: Sequence[Sequence[str]], view: DatasetView
+    queries: Sequence[tuple[str, str, Sequence[str]]], view: DatasetView
 ) -> list[float | None]:
-    """P-values of ``g_squared_test(x, y, g, view)`` for each g in ``givens``.
+    """P-values of ``g_squared_test(x, y, S, view)`` for each (x, y, S) of ``queries``.
 
-    The sets must all have one size. An entry is None where that test raises.
+    The queries may mix pairs, table shapes and set sizes. An entry is
+    None where that test raises.
     """
-    return [None if res is None else res[1] for res in _g_squared_scores(x, y, givens, view)]
+    return [None if res is None else res[1] for res in _g_squared_scores(queries, view)]
 
 
 def _g_squared_scores(
-    x: str, y: str, givens: Sequence[Sequence[str]], view: DatasetView
+    queries: Sequence[tuple[str, str, Sequence[str]]], view: DatasetView
 ) -> list[tuple[float, float, float] | None]:
-    """The G^2 kernel: (statistic, p-value, dof) of x, y given each set of ``givens``.
+    """The G^2 kernel: (statistic, p-value, dof) of each (x, y, S) of ``queries``.
 
-    Codes come from ``view.categorical_codes``, decoded once per view, and
-    an entry is None for a set naming a column missing from it. The tables are counted by
-    one ``bincount`` and scored in one vectorized pass, with every stratum
-    of every set side by side on the last axis. Each set's terms are then
-    summed as one contiguous row in (stratum, x, y) order, and the tail is
-    taken once per run of sets with equal strata counts.
+    Tables are counted from ``view.categorical_bitsets``, packed once per
+    view, and an entry is None for a query naming a column left out of
+    them. A query's table has one cell per (stratum, x level, y level),
+    the strata being the level combinations of S, in mixed-radix order
+    with the first column of S as the most significant digit. A cell's
+    count is the popcount of the AND of its levels' row bitsets. The
+    queries are sorted by cell count and cut into slices of at most
+    ``_SLICE_BYTES`` of AND-ed cell words; each slice is counted and
+    scored in one vectorized pass, and each query's terms are summed as
+    one contiguous row in (stratum, x, y) order.
     """
-    size = _one_size(givens)
-    out: list[tuple[float, float, float] | None] = [None] * len(givens)
-    decoded = view.categorical_codes
-    if x not in decoded or y not in decoded:
-        return out
-    (cx, kx), (cy, ky) = decoded[x], decoded[y]
-    # (number of strata, position) of each set that can be counted, sorted
-    # so that the sets form few runs of equal strata counts, each of which
-    # is summed by one call below
-    jobs = sorted(
-        (math.prod(decoded[s][1] for s in given), q)
-        for q, given in enumerate(givens)
-        if all(s in decoded for s in given)
-    )
+    words, columns = view.categorical_bitsets
+    out: list[tuple[float, float, float] | None] = [None] * len(queries)
+    jobs, sizes, flat = [], [], []
+    for q, (x, y, given) in enumerate(queries):
+        try:
+            digits = [columns[name] for name in (*given, x, y)]
+        except KeyError:
+            continue
+        jobs.append(q)
+        sizes.append(len(digits))
+        flat += digits
     if not jobs:
         return out
-    sets = [givens[q] for _, q in jobs]
-    # cell (x, y, stratum s of the i-th set) counts at [x, y, first[i] + s],
-    # where s is the mixed-radix stratum index: the sum of each digit times
-    # the product of the radices after it, digits in the set's order
-    first = list(accumulate((n_strata for n_strata, _ in jobs), initial=0))
-    width = first.pop()
-    flat = np.add.outer(np.array(first), (cx * ky + cy) * width)
-    place = [1] * len(sets)
-    for t in reversed(range(size)):
-        digits = np.concatenate([decoded[s[t]][0] for s in sets]).reshape(flat.shape)
-        if t < size - 1:
-            digits *= np.array(place)[:, None]
-        flat += digits
-        place = [p * decoded[s[t]][1] for p, s in zip(place, sets)]
-    table = np.bincount(flat.ravel(), minlength=kx * ky * width).reshape(kx, ky, width)
-
-    # the margins and r*c are exact integers, so each cell takes the same
-    # floating-point steps as with float margins
-    row = table.sum(axis=1)
-    col = table.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        expected = row[:, None] * col[None] / row.sum(axis=0)
-        terms = np.where(table > 0, table * np.log(table / expected), 0.0)
-    # terms holds no NaN (a non-empty cell has positive margins). Each set's
-    # row is summed pairwise in (stratum, x, y) order, as np.nansum would
-    terms = np.ascontiguousarray(terms.reshape(kx * ky, width).T)
+    # digits[q, t] = (bitset row of level 0, level count) of query q's digit
+    # t. A query with a smaller S is padded in front with the all-rows
+    # bitset as a digit of one level, which leaves its cells and their
+    # order alone
+    sizes = np.array(sizes)
+    width = int(sizes.max())
+    digits = np.zeros((len(jobs), width, 2), dtype=np.intp)
+    digits[:, :, 1] = 1
+    slot = np.arange(len(flat)) + (width * np.arange(len(jobs)) + width - sizes.cumsum()).repeat(sizes)
+    digits.reshape(-1, 2)[slot] = np.fromiter(
+        chain.from_iterable(flat), dtype=np.intp, count=2 * len(flat)
+    ).reshape(-1, 2)
+    cells = digits[:, :, 1].prod(axis=1)
+    by_cells = np.argsort(cells, kind="stable")
+    digits, cells = digits[by_cells], cells[by_cells]
+    jobs = [jobs[i] for i in by_cells.tolist()]
+    ends = cells.cumsum()
+    per_slice = max(1, _SLICE_BYTES // max(1, words.itemsize * words.shape[1]))
     start = 0
-    for n_strata, run in groupby(jobs, key=lambda job: job[0]):
-        queries = [q for _, q in run]
-        stop = start + len(queries) * n_strata
-        g2 = np.maximum(2.0 * terms[start:stop].reshape(len(queries), -1).sum(axis=1), 0.0)
+    while start < len(jobs):
+        limit = (ends[start - 1] if start else 0) + per_slice
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        scored = _score_tables(words, digits[start:stop], cells[start:stop])
+        for q, entry in zip(jobs[start:stop], scored):
+            out[q] = entry
         start = stop
-        dof = float((kx - 1) * (ky - 1) * n_strata)
-        p = np.minimum(chisq_sf(g2, dof), 1.0)
-        for q, stat, p_value in zip(queries, g2.tolist(), p.tolist()):
-            out[q] = stat, p_value, dof
     return out
+
+
+def _score_tables(
+    words: np.ndarray, digits: np.ndarray, cells: np.ndarray
+) -> list[tuple[float, float, float]]:
+    """(statistic, p-value, dof) of each table of a slice, its tables sorted by cell count.
+
+    ``digits[q, t]`` is (bitset row of level 0, level count) of table q's
+    digit t; the last two digits are x and y.
+    """
+    # the prefixes of digits 0..t of every table, one per combination of
+    # their levels in mixed-radix order, each holding the AND of its
+    # levels' rows; a prefix's children are consecutive, so the last
+    # digit's prefixes are the cells in (stratum, x, y) order
+    owner = np.arange(len(cells))
+    parents = []
+    anded = None
+    for t in range(digits.shape[1]):
+        k = digits[owner, t, 1]
+        parent = np.arange(owner.size).repeat(k)
+        level = np.arange(parent.size) - (k.cumsum() - k).repeat(k)
+        grown = words[digits[owner, t, 0].repeat(k) + level]
+        if anded is not None:
+            grown &= anded[parent]
+        owner, anded = owner[parent], grown
+        parents.append(parent)
+    # each cell's count, summed over its words by a matrix-vector product,
+    # which is exact for integers and faster than a sum over the short axis
+    table = np.bitwise_count(anded).astype(float) @ np.ones(words.shape[1])
+
+    # margins by (table, stratum, x), (table, stratum, y) and (table,
+    # stratum): the counts are integers, so each margin and r*c is exact
+    # and each cell takes the same floating-point steps as with integer
+    # margins
+    x_at = parents[-1]
+    s_at = parents[-2][x_at]
+    y_at = s_at * int(digits[:, -1, 1].max()) + level  # level: each cell's y level
+    row = np.bincount(x_at, weights=table)
+    col = np.bincount(y_at, weights=table)
+    total = np.bincount(s_at, weights=table)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = row[x_at] * col[y_at] / total[s_at]
+        terms = np.where(table > 0, table * np.log(table / expected), 0.0)
+    # terms holds no NaN (a non-empty cell has positive margins). Each
+    # table's row is summed pairwise in (stratum, x, y) order, as np.nansum
+    # would, by one call per run of equal cell counts
+    g2 = np.empty(len(cells))
+    start = first_cell = 0
+    for n_cells, run in groupby(cells.tolist()):
+        stop = start + len(list(run))
+        last_cell = first_cell + (stop - start) * n_cells
+        g2[start:stop] = terms[first_cell:last_cell].reshape(stop - start, n_cells).sum(axis=1)
+        start, first_cell = stop, last_cell
+    g2 = np.maximum(2.0 * g2, 0.0)
+    kx, ky = digits[:, -2, 1], digits[:, -1, 1]
+    dof = ((kx - 1) * (ky - 1) * (cells // (kx * ky))).astype(float)
+    p = np.minimum(chisq_sf(g2, dof), 1.0)
+    return list(zip(g2.tolist(), p.tolist(), dof.tolist()))
 
 
 def _hypergeom_weights(r1: int, r2: int, c1: int) -> tuple[range, list[int]]:

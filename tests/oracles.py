@@ -7,6 +7,9 @@ routes to each answer. The ``reference_*`` functions keep earlier
 versions of library code verbatim, so tests can require the optimized
 code to give equal answers; ``reference_load_csv`` is the CSV reader
 that kept one Python float per cell.
+``reference_learn_skeleton`` and ``reference_possible_dsep_prune`` are
+the searches as written when each pair searched alone, one query at a
+time, with the batch hook of the old per-pair searches left out.
 ``d_separated`` and ``fisher_z_ci_test`` are single-query entry points
 over library kernels that only tests call.
 
@@ -506,6 +509,130 @@ def reference_mixed_ci_test(view):
         return res.p_value
 
     return test
+
+
+# -- sequential search reference -----------------------------------------------------
+
+def _reference_separating_set(ci, x: str, y: str, subsets, alpha: float):
+    """Ask ``ci`` about (x, y, S) for each S in turn until one gives p > alpha.
+
+    Returns the number of queries asked and that S, or None.
+    """
+    asked = 0
+    for sset in subsets:
+        asked += 1
+        if ci(x, y, sset) > alpha:
+            return asked, sset
+    return asked, None
+
+
+def reference_learn_skeleton(view, config=None, prior=None, ci_test=None):
+    """The PC-stable adjacency search as written when each pair searched alone.
+
+    Pairs are searched one at a time in loop order, and each search asks
+    its sets one at a time; the default test is ``reference_mixed_ci_test``.
+    ``discovery.learn_skeleton`` must give the same graph, sepsets and
+    ``tests_run``, and raise the same first error.
+    """
+    from causaltab.discovery import LearnConfig, SkeletonResult
+    from causaltab.graph import SepSetStore
+
+    config = config or LearnConfig()
+    cols = list(view.columns)
+    if len(cols) < 2:
+        raise ValueError("need at least 2 columns to learn a skeleton")
+    if prior is not None:
+        prior.validate_names(cols)
+    ci = ci_test or reference_mixed_ci_test(view)
+    order = {c: i for i, c in enumerate(cols)}
+
+    adj: dict[str, set[str]] = {c: set(cols) - {c} for c in cols}
+    sepsets = SepSetStore()
+    knowledge_removed: set[frozenset[str]] = set()
+    if prior is not None:
+        for pair in prior.forbidden:
+            u, v = sorted(pair, key=order.__getitem__)
+            adj[u].discard(v)
+            adj[v].discard(u)
+            sepsets.record(u, v, ())
+            knowledge_removed.add(pair)
+
+    tests_run = 0
+    level = 0
+    while config.max_cond_size is None or level <= config.max_cond_size:
+        frozen = {c: sorted(adj[c], key=order.__getitem__) for c in cols}
+        if not any(len(frozen[x]) >= level + 1 for x in cols):
+            break
+        for x in cols:
+            for y in frozen[x]:
+                if y not in adj[x]:
+                    continue  # removed earlier in this level
+                if prior is not None and prior.requires(x, y):
+                    continue
+                candidates = [c for c in frozen[x] if c != y]
+                if len(candidates) < level:
+                    continue
+                asked, sset = _reference_separating_set(
+                    ci, x, y, itertools.combinations(candidates, level), config.alpha
+                )
+                tests_run += asked
+                if sset is not None:
+                    adj[x].discard(y)
+                    adj[y].discard(x)
+                    sepsets.record(x, y, sset)
+        level += 1
+
+    graph = MixedGraph(cols)
+    for i, u in enumerate(cols):
+        for v in cols[i + 1:]:
+            if v in adj[u]:
+                graph.add_edge(u, v)
+    return SkeletonResult(
+        graph=graph,
+        sepsets=sepsets,
+        tests_run=tests_run,
+        knowledge_removed=frozenset(knowledge_removed),
+    )
+
+
+def reference_possible_dsep_prune(graph, sepsets, config, ci_test, prior=None):
+    """The possible-d-sep stage as written when each edge searched alone.
+
+    ``discovery.possible_dsep_prune`` must give the same graph, sepsets
+    and ``tests_run``, and raise the same first error.
+    """
+    from causaltab.discovery import SkeletonResult, orient_v_structures, possible_dsep_set
+
+    order = {c: i for i, c in enumerate(graph.nodes)}
+    g = graph.copy()
+    seps = sepsets.copy()
+    tests_run = 0
+    # possible-d-sep sets are computed on the graph as handed in, as usual
+    pd_cache: dict[str, set[str]] = {}
+    for e in graph.edges():
+        x, y = e.u, e.v
+        if prior is not None and prior.requires(x, y):
+            continue
+        removed = False
+        for anchor in (x, y):
+            if anchor not in pd_cache:
+                pd_cache[anchor] = possible_dsep_set(graph, anchor)
+            pool = sorted(pd_cache[anchor] - {x, y}, key=order.__getitem__)
+            limit = len(pool) if config.max_cond_size is None else min(config.max_cond_size, len(pool))
+            for size in range(1, limit + 1):
+                asked, sset = _reference_separating_set(
+                    ci_test, x, y, itertools.combinations(pool, size), config.alpha
+                )
+                tests_run += asked
+                if sset is not None:
+                    g.remove_edge(x, y)
+                    seps.record(x, y, sset)
+                    removed = True
+                    break
+            if removed:
+                break
+    pruned = SkeletonResult(g.skeleton(), seps, tests_run)
+    return SkeletonResult(orient_v_structures(pruned), seps, tests_run)
 
 
 # -- CPDAG construction by equivalence-class grouping ----------------------------------

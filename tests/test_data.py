@@ -17,6 +17,7 @@ from causaltab.data import (
 from causaltab.errors import (
     BadCellError,
     CausalTabError,
+    NotCategoricalError,
     SchemaMismatchError,
     UnknownColumnError,
     ZeroVarianceError,
@@ -446,6 +447,13 @@ class TestSummarize:
         text = json.dumps(summarize(ds, "OUTCOME"), indent=2, sort_keys=True)
         assert '"AGE"' not in text
         assert '"columns"' in text
+
+    def test_continuous_outcome_is_rejected(self):
+        from causaltab.synth import make_clinical_synth
+
+        ds = make_clinical_synth(1)[0]
+        with pytest.raises(NotCategoricalError, match="column 'AGE' is continuous, not categorical"):
+            summarize(ds, "AGE")
 
 
 def test_schema_file_with_columns_wrapper(tmp_path):

@@ -40,7 +40,9 @@ from oracles import (
     dag_vstructures,
     directed_edges,
     enumerate_dags,
+    reference_learn_skeleton,
     reference_mixed_ci_test,
+    reference_possible_dsep_prune,
     sample_sem,
     sem_from_edges,
 )
@@ -634,13 +636,13 @@ class TestBatchedCiTest:
 
     def test_chunk_spanning_several_strata_counts(self):
         view = wide_category_view("exam")
-        levels = {c: k for c, (_, k) in view.categorical_codes.items()}
+        levels = {c: k for c, (_, k) in view.categorical_bitsets[1].items()}
         x, y, *rest = [c for c in view.columns if c in levels]
         chunk = list(itertools.combinations(rest[:8], 3))[:32]
         assert len({math.prod(levels[c] for c in s) for s in chunk}) > 1
         assert {levels[c] for c in (x, y, *rest[:8])} == {2, 3}
         test = discovery.mixed_ci_test(view)
-        test.prefetch(x, y, chunk)
+        test.prefetch([(x, y, s) for s in chunk])
         assert set(test.answered) == {(x, y, s) for s in chunk}
         reference = reference_mixed_ci_test(view)
         assert all(p == reference(*query) for query, p in test.answered.items())
@@ -649,11 +651,11 @@ class TestBatchedCiTest:
         # the first set is answered by a single query, so the chunk leaves
         # one G^2 set for the batch kernel
         view = wide_category_view("exam")
-        x, y, z, w = [c for c in view.columns if c in view.categorical_codes][:4]
+        x, y, z, w = [c for c in view.columns if c in view.categorical_bitsets[1]][:4]
         test = discovery.mixed_ci_test(view)
         test(x, y, (z,))
         calls = count_batch_calls(monkeypatch)
-        test.prefetch(x, y, [(z,), (w,)])
+        test.prefetch([(x, y, (z,)), (x, y, (w,))])
         assert calls == {"g2": 1, "fisher_z": 0}
         assert set(test.answered) == {(x, y, (z,)), (x, y, (w,))}
         assert test.answered[(x, y, (w,))] == reference_mixed_ci_test(view)(x, y, (w,))
@@ -667,7 +669,7 @@ class TestBatchedCiTest:
         chunk = [(c,) for c in view.columns if c not in (x, y)]
         calls = count_batch_calls(monkeypatch)
         test = discovery.mixed_ci_test(view)
-        test.prefetch(x, y, chunk)
+        test.prefetch([(x, y, s) for s in chunk])
         assert calls == {"g2": 1, "fisher_z": 1}
         assert set(test.answered) == {(x, y, s) for s in chunk}
         reference = reference_mixed_ci_test(view)
@@ -695,13 +697,13 @@ class TestBatchedCiTest:
         )
         config = LearnConfig(alpha=0.01, do_possible_dsep=False)
         test = discovery.mixed_ci_test(ds.view())
-        chunks = []
+        rounds = []
 
         batch = test.prefetch
 
-        def prefetch(x, y, subsets):
-            chunks.append((x, y, list(subsets)))
-            batch(x, y, subsets)
+        def prefetch(queries):
+            rounds.append(list(queries))
+            batch(queries)
 
         test.prefetch = prefetch
         got = run_fci(ds.view(), config, prior, ci_test=test)
@@ -709,11 +711,49 @@ class TestBatchedCiTest:
         assert got.graph.to_json_dict() == want.graph.to_json_dict()
         assert got.tests_run == want.tests_run
         assert got.sepsets.get("X", "Y") == ("P", "Q")
-        chunk = next(sets for x, y, sets in chunks if (x, y) == ("X", "Y") and ("A", "B") in sets)
+        chunk = next(
+            [s for x, y, s in queries if (x, y) == ("X", "Y")]
+            for queries in rounds if ("X", "Y", ("A", "B")) in queries
+        )
         assert chunk.index(("P", "Q")) < chunk.index(("A", "B"))
         assert ("X", "Y", ("A", "B")) not in test.answered
         with pytest.raises(SingularCorrelationError):
             test("X", "Y", ("A", "B"))
+
+    def test_round_with_one_singular_set(self, monkeypatch):
+        # a round across pairs and set sizes, of both kinds, holds one
+        # singular Fisher-z set; the batch answers every other query, so
+        # asking them all runs a one-query kernel only for the singular one
+        rng = np.random.default_rng(32)
+        n = 400
+        a = rng.standard_normal(n)
+        numeric = {c: rng.standard_normal(n) for c in ("P", "Q", "R")}
+        binary = {c: rng.integers(0, 2, n).astype(float) for c in ("U", "V", "W")}
+        columns = {**numeric, "A": a, "B": a.copy(), **binary}
+        schema = [ColumnSchema(c, "continuous", "c") for c in (*numeric, "A", "B")] + [
+            ColumnSchema(c, "binary", "c", levels=("0", "1")) for c in binary
+        ]
+        view = Dataset(schema, columns).view()
+        singular = ("P", "Q", ("A", "B"))
+        queries = [
+            ("P", "Q", ()), ("P", "Q", ("R",)), ("Q", "R", ("P", "U")), singular,
+            ("R", "P", ("A",)), ("P", "U", ("V", "W")), ("U", "V", ()), ("U", "V", ("W",)),
+            ("V", "W", ("U",)), ("W", "U", ()),
+        ]
+        test = discovery.mixed_ci_test(view)
+        batches = count_batch_calls(monkeypatch)
+        test.prefetch(queries)
+        assert batches == {"g2": 1, "fisher_z": 1}
+        assert set(test.answered) == set(queries) - {singular}
+        kernels = count_kernel_calls(monkeypatch)
+        reference = reference_mixed_ci_test(view)
+        for query in queries:
+            if query != singular:
+                assert test(*query) == reference(*query)
+        assert kernels == {"g2": 0, "fisher_z": 0}
+        with pytest.raises(SingularCorrelationError, match="'P', 'Q' \\| \\('A', 'B'\\)"):
+            test(*singular)
+        assert kernels == {"g2": 0, "fisher_z": 1}
 
     def test_memo_is_freed_when_run_fci_returns(self, monkeypatch):
         # the default test must hold no reference cycle: with the cycle
@@ -736,6 +776,119 @@ class TestBatchedCiTest:
         finally:
             if enabled:
                 gc.enable()
+
+
+def search_outcome(learn, prune, view, config, prior, ci):
+    """Each search stage's graph, sepsets and tests_run, or the (type, message) it raised."""
+    try:
+        skel = learn(view, config, prior, ci)
+        stages = [skel]
+        if config.do_possible_dsep:
+            stages.append(prune(orient_v_structures(skel), skel.sepsets, config, ci, prior))
+    except Exception as error:
+        return type(error), str(error)
+    return [(r.graph.to_json_dict(), r.sepsets.to_json_dict(), r.tests_run) for r in stages]
+
+
+def same_as_sequential(view, config, prior=None, ci=None, reference_ci=None):
+    """Both stages in rounds with the batched test (or ``ci``), and one search at a time."""
+    got = search_outcome(
+        learn_skeleton, possible_dsep_prune, view, config, prior,
+        ci or discovery.mixed_ci_test(view),
+    )
+    want = search_outcome(
+        reference_learn_skeleton, reference_possible_dsep_prune, view, config, prior,
+        reference_ci or reference_mixed_ci_test(view),
+    )
+    assert got == want
+    return got
+
+
+class TestSearchRounds:
+    """The searches in rounds against the frozen sequential searches."""
+
+    def test_seed1_cohort_views(self):
+        ds, _ = make_clinical_synth(1)
+        outcome = ds.outcome_column()
+        views = [seed1_cohort_view()] + [
+            complete_cases(ds, [*(c.name for c in ds.schema if c.category == category), outcome])
+            for category in ds.categories()
+        ]
+        for view in views:
+            for pdsep in (True, False):
+                assert isinstance(same_as_sequential(view, LearnConfig(do_possible_dsep=pdsep)), list)
+
+    @pytest.mark.parametrize("category", ["labs_a", "labs_b", "history", "exam"])
+    def test_wide_table_categories(self, category):
+        stages = same_as_sequential(
+            wide_category_view(category), LearnConfig(alpha=0.01, do_possible_dsep=True)
+        )
+        assert stages[1][2] > 0
+
+    def test_every_small_dag_under_the_oracle(self):
+        # every DAG of 2-4 nodes, all observed and with its first node hidden
+        runs = 0
+        for n in (2, 3, 4):
+            names = [f"v{i}" for i in range(n)]
+            for edges in enumerate_dags(names):
+                dag = MixedGraph(names)
+                for u, v in edges:
+                    dag.add_directed_edge(u, v)
+                for hidden in (0, 1) if n > 2 else (0,):
+                    view = dummy_view(names[hidden:])
+                    for pdsep in (True, False):
+                        same_as_sequential(
+                            view, LearnConfig(do_possible_dsep=pdsep),
+                            ci=oracle_ci_test(dag), reference_ci=oracle_ci_test(dag),
+                        )
+                        runs += 1
+        assert runs == 2 * (3 + 25 * 2 + 543 * 2)
+
+    def test_first_error_in_loop_order(self):
+        # B copies A, and the prior keeps A and B apart, so at level 1 a
+        # search from Y1 or Y2 raises when it conditions on B. Y1 is searched
+        # first, but the prior keeps 40 columns next to Y1, so its search
+        # reaches B only in its second round, after Y2's search has raised
+        rng = np.random.default_rng(41)
+        n = 300
+        a = rng.standard_normal(n)
+        noise = {f"C{i:02d}": rng.standard_normal(n) for i in range(40)}
+        columns = {
+            "Y1": a + sum(noise.values()) / 10 + rng.standard_normal(n),
+            "Y2": a + rng.standard_normal(n),
+            **noise,
+            "A": a,
+            "B": a.copy(),
+        }
+        ds = Dataset([ColumnSchema(c, "continuous", "c") for c in columns], columns)
+        prior = PriorKnowledge.from_pairs(
+            forbidden=[("A", "B")], required=[("Y1", c) for c in noise]
+        )
+        test = discovery.mixed_ci_test(ds.view())
+        rounds = []
+        batch = test.prefetch
+
+        def prefetch(queries):
+            rounds.append(list(queries))
+            batch(queries)
+
+        test.prefetch = prefetch
+        # the sequential searches ask a fresh default test one query at a
+        # time, so that its error names the columns as the batched test's does
+        got = same_as_sequential(
+            ds.view(), LearnConfig(do_possible_dsep=False), prior, test,
+            reference_ci=discovery.mixed_ci_test(ds.view()),
+        )
+        assert got == (
+            SingularCorrelationError,
+            "correlation submatrix for ('Y1', 'A' | ('B',)) is singular",
+        )
+        # Y2's singular query was handed to the test a round before Y1's
+        where = {
+            query: next(i for i, r in enumerate(rounds) if query in r)
+            for query in (("Y1", "A", ("B",)), ("Y2", "A", ("B",)))
+        }
+        assert where[("Y2", "A", ("B",))] < where[("Y1", "A", ("B",))]
 
 
 class TestUnknownColumn:
@@ -769,10 +922,12 @@ class TestUnknownColumn:
 
     def test_batched_query_outside_the_view(self, view):
         test = discovery.mixed_ci_test(view)
-        chunk = [("lab",), ("out",)]
-        test.prefetch("a", "b", chunk)
-        assert test.answered == {}
-        assert test("a", "b", ("lab",)) == reference_mixed_ci_test(view)("a", "b", ("lab",))
+        test.prefetch([("a", "b", ("lab",)), ("a", "b", ("out",))])
+        # the query inside the view is answered by the batch, the other is
+        # left to the one-query path
+        want = reference_mixed_ci_test(view)("a", "b", ("lab",))
+        assert test.answered == {("a", "b", ("lab",)): want}
+        assert test("a", "b", ("lab",)) == want
         with pytest.raises(UnknownColumnError, match="'out' not selected in view"):
             test("a", "b", ("out",))
 

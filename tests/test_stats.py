@@ -19,6 +19,7 @@ from causaltab.errors import (
     ZeroBaseError,
     ZeroVarianceError,
 )
+from causaltab import stats
 from causaltab.stats import (
     ContingencyTable2x2,
     _g_squared_scores,
@@ -301,13 +302,18 @@ class TestGSquaredMatchesReference:
     def test_decoded_once_per_view(self):
         rng = np.random.default_rng(7)
         view = categorical_view({c: rng.integers(0, 2, 50).astype(float) for c in "xyz"})
-        decoded = view.categorical_codes
-        assert view.categorical_codes is decoded
-        assert set(decoded) == {"x", "y", "z"}
-        codes, k = decoded["x"]
-        assert codes.dtype == np.int64 and k == 2 and not codes.flags.writeable
+        decoded = view.categorical_bitsets
+        assert view.categorical_bitsets is decoded
+        words, columns = decoded
+        assert set(columns) == {"x", "y", "z"}
+        first, k = columns["x"]
+        assert words.dtype == np.uint64 and k == 2 and not words.flags.writeable
+        # one bit per view row, set in the row of the cell's level
+        bits = np.unpackbits(words[first:first + k].view(np.uint8), axis=1, bitorder="little")
+        assert (bits[:, :50] == (view.coded("x") == np.arange(k)[:, None])).all()
+        assert not bits[:, 50:].any()
         g_squared_test("x", "y", ("z",), view)
-        assert view.categorical_codes is decoded
+        assert view.categorical_bitsets is decoded
 
     @pytest.fixture()
     def mixed_view(self):
@@ -329,7 +335,7 @@ class TestGSquaredMatchesReference:
             "out": rng.integers(0, 2, 60).astype(float),
         })
         view = ds.view(["a", "b", "hole", "lab"])
-        assert set(view.categorical_codes) == {"a", "b"}
+        assert set(view.categorical_bitsets[1]) == {"a", "b"}
         return view
 
     @pytest.mark.parametrize(
@@ -396,9 +402,10 @@ class TestBatchKernels:
             givens = list(itertools.combinations(names[2:], size))[: int(rng.integers(1, 33))]
             want = [reference_g_squared_test("x", "y", g, view) for g in givens]
             want = [(res.statistic, res.p_value, res.dof) for res in want]
-            assert _g_squared_scores("x", "y", givens, view) == want, draw
-            assert _g_squared_scores("x", "y", givens[:1], view) == want[:1], draw
-            assert g_squared_batch("x", "y", givens, view) == [w[1] for w in want], draw
+            queries = [("x", "y", g) for g in givens]
+            assert _g_squared_scores(queries, view) == want, draw
+            assert _g_squared_scores(queries[:1], view) == want[:1], draw
+            assert g_squared_batch(queries, view) == [w[1] for w in want], draw
             levels = {c.name: c.n_levels for c in schema}
             counts = {math.prod(levels[c] for c in g) for g in givens}
             several_strata_counts += len(counts) > 1
@@ -424,11 +431,11 @@ class TestBatchKernels:
         })
         view = ds.view(["a", "b", "c", "hole", "lab"])
         givens = [("c",), ("lab",), ("hole",), ("nowhere",), ("b",)]
-        got = g_squared_batch("a", "b", givens, view)
+        got = g_squared_batch([("a", "b", g) for g in givens], view)
         assert got[1:4] == [None, None, None]
         for given, p in zip(givens, got):
             assert p == _p_or_none(lambda: reference_g_squared_test("a", "b", given, view))
-        assert g_squared_batch("lab", "a", [("c",), ("b",)], view) == [None, None]
+        assert g_squared_batch([("lab", "a", ("c",)), ("lab", "a", ("b",))], view) == [None, None]
 
     def test_fisher_z_batch_matches_one_set_kernel(self):
         rng = np.random.default_rng(1103)
@@ -439,14 +446,14 @@ class TestBatchKernels:
             corr = np.corrcoef(data, rowvar=False)
             size = draw % 5
             givens = list(itertools.combinations(range(2, 8), size))[: int(rng.integers(1, 33))]
-            got = fisher_z_batch(corr, n, 0, 1, givens)
+            got = fisher_z_batch(corr, n, [(0, 1, g) for g in givens])
             want = [reference_fisher_z_from_correlation(corr, n, 0, 1, g).p_value for g in givens]
             assert got == want, draw
 
     def test_fisher_z_batch_of_empty_sets(self):
         corr = np.corrcoef(np.random.default_rng(1104).standard_normal((50, 3)), rowvar=False)
         want = reference_fisher_z_from_correlation(corr, 50, 0, 2, ()).p_value
-        assert fisher_z_batch(corr, 50, 0, 2, [()]) == [want]
+        assert fisher_z_batch(corr, 50, [(0, 2, ())]) == [want]
 
     def test_fisher_z_matches_reference(self):
         rng = np.random.default_rng(1106)
@@ -467,7 +474,7 @@ class TestBatchKernels:
                 _p_or_none(lambda: reference_fisher_z_from_correlation(corr, n, 0, 1, g))
                 for g in givens
             ]
-            assert fisher_z_batch(corr, n, 0, 1, givens) == want_p, draw
+            assert fisher_z_batch(corr, n, [(0, 1, g) for g in givens]) == want_p, draw
         assert too_small > 0
 
     def test_fisher_z_ill_conditioned_submatrix(self):
@@ -479,27 +486,107 @@ class TestBatchKernels:
             with pytest.raises(SingularCorrelationError) as info:
                 kernel(corr, 100, 0, 1, (2,))
             assert str(info.value) == message
-        assert fisher_z_batch(corr, 100, 0, 1, [(2,)]) == [None]
+        assert fisher_z_batch(corr, 100, [(0, 1, (2,))]) == [None]
 
     def test_fisher_z_batch_leaves_raising_sets_unanswered(self):
         rng = np.random.default_rng(1105)
         z = rng.standard_normal(100)
         data = np.column_stack([rng.standard_normal((100, 3)), z, z])
         corr = np.corrcoef(data, rowvar=False)
-        assert None not in fisher_z_batch(corr, 100, 0, 1, [(2,), (3,), (4,)])
-        # a singular submatrix fails the whole stack
-        assert fisher_z_batch(corr, 100, 0, 1, [(2, 3), (3, 4)]) == [None, None]
+        assert None not in fisher_z_batch(corr, 100, [(0, 1, (2,)), (0, 1, (3,)), (0, 1, (4,))])
+        # a singular submatrix voids only its own query
+        want = reference_fisher_z_from_correlation(corr, 100, 0, 1, (2, 3)).p_value
+        assert fisher_z_batch(corr, 100, [(0, 1, (2, 3)), (0, 1, (3, 4))]) == [want, None]
         with pytest.raises(SingularCorrelationError):
             fisher_z_from_correlation(corr, 100, 0, 1, (3, 4))
         # too few rows for the set size
-        assert fisher_z_batch(corr, 5, 0, 1, [(2, 3), (2, 4)]) == [None, None]
+        assert fisher_z_batch(corr, 5, [(0, 1, (2, 3)), (0, 1, (2, 4))]) == [None, None]
 
-    def test_batches_need_sets_of_one_size(self):
+    def test_batches_of_mixed_set_sizes(self):
+        # sets of different sizes share one batch, each with its one-query answer
         view = categorical_view({c: np.array([0.0, 1, 0, 1, 1, 0]) for c in "xyzw"})
-        with pytest.raises(ValueError, match="one size"):
-            g_squared_batch("x", "y", [("z",), ("z", "w")], view)
-        with pytest.raises(ValueError, match="one size"):
-            fisher_z_batch(np.eye(4), 6, 0, 1, [(2,), ()])
+        queries = [("x", "y", ("z",)), ("x", "y", ("z", "w")), ("x", "y", ())]
+        want = [reference_g_squared_test(*query, view).p_value for query in queries]
+        assert g_squared_batch(queries, view) == want
+        corr = np.eye(4)
+        queries = [(0, 1, (2,)), (0, 1, ()), (0, 1, (2, 3))]
+        want = [reference_fisher_z_from_correlation(corr, 6, *query).p_value for query in queries]
+        assert fisher_z_batch(corr, 6, queries) == want
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_g_squared_batch_mixes_pairs_shapes_and_sizes(self, n):
+        # one batch per draw, across pairs of columns of 2-6 levels and sets
+        # of 0-3 columns, against the one-set reference; 64 rows fill one
+        # word of a row bitset exactly
+        rng = np.random.default_rng(1107 + n)
+        names = [f"c{i}" for i in range(8)]
+        shapes = set()
+        for draw in range(25):
+            schema, columns = [], {}
+            for name in names:
+                k = int(rng.integers(2, 7))
+                schema.append(ColumnSchema(
+                    name, "binary" if k == 2 else "ordinal", "c",
+                    levels=tuple(str(i) for i in range(k)),
+                ))
+                weights = rng.dirichlet(np.full(k, 0.5))
+                columns[name] = rng.choice(k, size=n, p=weights).astype(float)
+            view = Dataset(schema, columns).view()
+            levels = {c.name: c.n_levels for c in schema}
+            queries = []
+            for _ in range(int(rng.integers(1, 41))):
+                x, y, *given = rng.permutation(names)[: 2 + int(rng.integers(0, 4))].tolist()
+                queries.append((x, y, tuple(given)))
+                shapes.add((levels[x], levels[y], len(given)))
+            want = [reference_g_squared_test(*query, view) for query in queries]
+            want = [(res.statistic, res.p_value, res.dof) for res in want]
+            assert _g_squared_scores(queries, view) == want, draw
+            assert g_squared_batch(queries, view) == [w[1] for w in want], draw
+        assert {k for k, _, _ in shapes} == set(range(2, 7))
+        assert {size for _, _, size in shapes} == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_g_squared_batch_larger_than_a_slice(self, monkeypatch, budget):
+        # at the module's budget the batch spans several slices; at a
+        # budget of 1 byte every table is a slice of its own
+        if budget is not None:
+            monkeypatch.setattr(stats, "_SLICE_BYTES", budget)
+        rng = np.random.default_rng(1108)
+        names = [f"c{i}" for i in range(7)]
+        k = {name: 2 + i % 3 for i, name in enumerate(names)}
+        view = Dataset(
+            [ColumnSchema(c, "ordinal", "c", levels=tuple(str(i) for i in range(k[c]))) for c in names],
+            {c: rng.integers(0, k[c], 700).astype(float) for c in names},
+        ).view()
+        queries = [
+            (x, y, given)
+            for x, y in itertools.combinations(names, 2)
+            for given in itertools.combinations([c for c in names if c not in (x, y)], 3)
+        ]
+        cells = sum(k[x] * k[y] * math.prod(k[c] for c in given) for x, y, given in queries)
+        # 8 bytes per word of a cell's AND-ed row bitsets
+        assert cells * 8 * -(-700 // 64) > 4 * stats._SLICE_BYTES
+        want = [reference_g_squared_test(*query, view) for query in queries]
+        assert _g_squared_scores(queries, view) == [(r.statistic, r.p_value, r.dof) for r in want]
+
+    def test_fisher_z_batch_mixes_pairs_and_sizes(self):
+        # one stack per set size across pairs; the singular submatrices,
+        # most of those that hold both copies of a column, void only their
+        # own queries
+        rng = np.random.default_rng(1109)
+        data = rng.standard_normal((150, 7)) @ rng.standard_normal((7, 7))
+        data = np.column_stack([data, data[:, 6]])
+        corr = np.corrcoef(data, rowvar=False)
+        queries = []
+        for _ in range(300):
+            i, j, *given = rng.permutation(8)[: 2 + int(rng.integers(0, 4))].tolist()
+            queries.append((i, j, tuple(given)))
+        want = [
+            _p_or_none(lambda: reference_fisher_z_from_correlation(corr, 150, *query))
+            for query in queries
+        ]
+        assert 0 < want.count(None) < len(queries)
+        assert fisher_z_batch(corr, 150, queries) == want
 
 
 class TestFisherExact:
