@@ -10,6 +10,7 @@ be substituted for validation runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
@@ -232,57 +233,63 @@ def _chunks(subsets: Iterable[tuple[str, ...]]) -> Iterator[list[tuple[str, ...]
         yield chunk
 
 
-#: One search for a separating set of x and y: its conditioning sets in
-#: chunks, each asked in order until one gives p > alpha.
-Search = tuple[str, str, Iterator[list[tuple[str, ...]]]]
+#: One search for a separating set: its parts, run one after the other
+#: until one finds a set. A part is (turn, x, y, chunks): its place in the
+#: order of searching one part at a time, x and y as asked, and its
+#: conditioning sets in chunks, each asked in order until one gives
+#: p > alpha.
+Search = list[tuple[int, str, str, Iterator[list[tuple[str, ...]]]]]
 
 
 def _run_searches(
     ci: CITest, searches: list[Search], alpha: float
-) -> list[tuple[int, tuple[str, ...] | None] | CausalTabError | None]:
+) -> list[tuple[int, tuple[str, ...] | None]]:
     """Run independent searches in rounds; the outcome of each, in order.
 
-    An outcome is (queries asked, the separating set or None), or the
-    package error the search raised, which the caller raises in turn. In
-    each round, a test with a ``prefetch`` method is handed every live
-    search's next chunk in one call, so it can answer them together. Each
-    search then asks its chunk one query at a time, so its outcome is that
-    of asking alone. Once a search has raised, the searches after it are
-    not run on (their outcome stays None): searching one at a time, the
-    first one raising ends the stage.
+    An outcome is (queries asked, the separating set or None). In each
+    round, a test with a ``prefetch`` method is handed every live search's
+    next chunk in one call, so it can answer them together. Each search
+    then asks its chunk one query at a time, so its outcome is that of
+    asking alone.
+
+    If parts raise package errors, the error of the smallest turn is
+    raised, as searching one part at a time in turn order would raise it.
+    No part whose turn comes after the earliest error found so far runs
+    on; every part before it runs to its end.
     """
     prefetch = getattr(ci, "prefetch", None)
-    outcomes: list = [None] * len(searches)
-    asked = [0] * len(searches)
+    steps = [
+        ((turn, x, y, chunk) for turn, x, y, chunks in search for chunk in chunks)
+        for search in searches
+    ]
+    outcomes: list[tuple[int, tuple[str, ...] | None]] = [(0, None)] * len(searches)
+    stop, error = math.inf, None  # the turn and error of the earliest error so far
     live = list(range(len(searches)))
-    failed = len(searches)
     while live:
-        turn = []
-        for k in live:
-            if k > failed:
-                break
-            chunk = next(searches[k][2], None)
-            if chunk is None:
-                outcomes[k] = asked[k], None
-            else:
-                turn.append((k, chunk))
-        if prefetch is not None and turn:
-            prefetch([(searches[k][0], searches[k][1], s) for k, chunk in turn for s in chunk])
+        batch = [
+            (k, step) for k in live
+            if (step := next(steps[k], None)) is not None and step[0] < stop
+        ]
+        if prefetch is not None and batch:
+            prefetch([(x, y, s) for _, (_, x, y, chunk) in batch for s in chunk])
         live = []
-        for k, chunk in turn:
-            if k > failed:
-                break
-            x, y, _ = searches[k]
+        for k, (turn, x, y, chunk) in batch:
+            if turn > stop:
+                continue
+            asked = outcomes[k][0]
             try:
                 for sset in chunk:
-                    asked[k] += 1
+                    asked += 1
                     if ci(x, y, sset) > alpha:
-                        outcomes[k] = asked[k], sset
+                        outcomes[k] = asked, sset
                         break
                 else:
+                    outcomes[k] = asked, None
                     live.append(k)
             except CausalTabError as exc:
-                outcomes[k], failed = exc, min(failed, k)
+                stop, error = turn, exc
+    if error is not None:
+        raise error
     return outcomes
 
 
@@ -300,11 +307,11 @@ def learn_skeleton(
     removed up front with an empty sepset; required pairs are never tested.
 
     A level's searches are therefore independent, and run together in
-    rounds, in two waves: first each pair searched from its earlier
-    column, then from its later column each pair still adjacent. Outcomes
-    are applied in the loop order of searching one pair at a time, so the
+    rounds, one search per adjacent pair: from its earlier column, then,
+    if the edge survives, from its later column. Each part's turn is its
+    place in the loop over (x, y) for x in cols for y in frozen[x], so the
     graph, sepsets, ``tests_run`` and the first error raised are those of
-    that loop.
+    searching one part at a time in that loop.
     """
     config = config or LearnConfig()
     cols = list(view.columns)
@@ -332,41 +339,20 @@ def learn_skeleton(
         frozen = {c: sorted(adj[c], key=order.__getitem__) for c in cols}
         if not any(len(frozen[x]) >= level + 1 for x in cols):
             break
-        # every search of the level, in turn order: pair (x, y) is searched
-        # from x and, if still adjacent, again from y
-        turns: list[Search] = []
-        for x in cols:
-            for y in frozen[x]:
-                if prior is not None and prior.requires(x, y):
-                    continue
-                candidates = [c for c in frozen[x] if c != y]
-                if len(candidates) >= level:
-                    turns.append((x, y, _chunks(combinations(candidates, level))))
-        forward = [k for k, (x, y, _) in enumerate(turns) if order[x] < order[y]]
-        outcomes = dict(zip(
-            forward, _run_searches(ci, [turns[k] for k in forward], config.alpha)
-        ))
-        # a reverse search runs only if its forward search kept the edge,
-        # and only before the turn of the first forward search that raised
-        failed = next((k for k in forward if isinstance(outcomes[k], CausalTabError)), len(turns))
-        separated = {
-            (turns[k][0], turns[k][1]) for k in forward if k < failed and outcomes[k][1] is not None
-        }
-        reverse = [
-            k for k, (x, y, _) in enumerate(turns[:failed])
-            if order[x] > order[y] and (y, x) not in separated
-        ]
-        outcomes.update(zip(
-            reverse, _run_searches(ci, [turns[k] for k in reverse], config.alpha)
-        ))
-        for k in sorted(outcomes):
-            outcome = outcomes[k]
-            if isinstance(outcome, CausalTabError):
-                raise outcome
-            asked, sset = outcome
+        searches: dict[tuple[str, str], Search] = {}
+        for turn, (x, y) in enumerate((x, y) for x in cols for y in frozen[x]):
+            if prior is not None and prior.requires(x, y):
+                continue
+            candidates = [c for c in frozen[x] if c != y]
+            if len(candidates) >= level:
+                pair = (x, y) if order[x] < order[y] else (y, x)
+                searches.setdefault(pair, []).append(
+                    (turn, x, y, _chunks(combinations(candidates, level)))
+                )
+        outcomes = _run_searches(ci, list(searches.values()), config.alpha)
+        for (x, y), (asked, sset) in zip(searches, outcomes):
             tests_run += asked
             if sset is not None:
-                x, y, _ = turns[k]
                 adj[x].discard(y)
                 adj[y].discard(x)
                 sepsets.record(x, y, sset)
@@ -439,8 +425,9 @@ def possible_dsep_prune(
     Expects v-structures already oriented. Conditioning sets are drawn in
     the graph's node order, from x's possible-d-sep set and then from y's,
     by increasing size. The edges' searches are independent of each other,
-    so they run together in rounds; each search's chunks never span set
-    sizes or anchors.
+    so they run together in rounds, one part per edge with the edge's
+    index as its turn; each search's chunks never span set sizes or
+    anchors.
     """
     order = {c: i for i, c in enumerate(graph.nodes)}
     # possible-d-sep sets are computed on the graph as handed in, as usual
@@ -461,12 +448,8 @@ def possible_dsep_prune(
     g = graph.copy()
     seps = sepsets.copy()
     tests_run = 0
-    for (x, y), outcome in zip(edges, _run_searches(
-        ci_test, [(x, y, chunks(x, y)) for x, y in edges], config.alpha
-    )):
-        if isinstance(outcome, CausalTabError):
-            raise outcome
-        asked, sset = outcome
+    searches = [[(turn, x, y, chunks(x, y))] for turn, (x, y) in enumerate(edges)]
+    for (x, y), (asked, sset) in zip(edges, _run_searches(ci_test, searches, config.alpha)):
         tests_run += asked
         if sset is not None:
             g.remove_edge(x, y)

@@ -251,6 +251,10 @@ def test_permutation_features_beyond_the_pool_is_one_line_error(cohort_dir, tmp_
         ("run", "--schema", [], "array of columns"),
         ("run", "--prior", {"forbidden": 3}, "forbidden"),
         ("run", "--prior", {"forbiden": [["AGE", "PF"]]}, "forbiden"),
+        ("run", "--prior", {"forbidden": [["AGE", "AGE"]]}, "distinct"),
+        ("run", "--oracle-dag",
+         {"nodes": ["AGE", "PF"], "edges": [{"u": "AGE", "v": "PF", "mark_u": "x"}]},
+         "invalid marks"),
         ("step3", "--from-step2", {"tree_features": 5}, "tree_features"),
     ],
     ids=[
@@ -262,6 +266,8 @@ def test_permutation_features_beyond_the_pool_is_one_line_error(cohort_dir, tmp_
         "schema-without-columns",
         "prior-forbidden-not-a-list",
         "prior-unknown-key",
+        "prior-pair-of-one-column",
+        "oracle-dag-invalid-mark",
         "step2-tree-features-not-a-list",
     ],
 )

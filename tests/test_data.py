@@ -61,6 +61,27 @@ class TestSchema:
         assert col.levels.index("1") == 1
         assert col.label_of(0.0) == "0"
 
+    def test_levels_written_as_json_numbers_or_booleans(self, tmp_path):
+        schema_path = tmp_path / "t.schema.json"
+        schema_path.write_text(json.dumps([
+            {"name": "I", "kind": "binary", "category": "c", "levels": [0, 1]},
+            {"name": "F", "kind": "ordinal", "category": "c", "levels": [1.0, 2.5, 3]},
+            {"name": "B", "kind": "binary", "category": "c", "levels": [True, False]},
+        ]))
+        assert [c.levels for c in load_schema(schema_path)] == [
+            ("0", "1"), ("1", "2.5", "3"), ("1", "0"),
+        ]
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("I,F,B\n1,2.5,1\n0,3,0\n")
+        ds = load_csv(csv_path, schema_path)
+        np.testing.assert_array_equal(ds.coded("F"), [1.0, 2.0])
+        np.testing.assert_array_equal(ds.coded("B"), [0.0, 1.0])
+        schema_path.write_text(json.dumps(
+            [{"name": "X", "kind": "binary", "category": "c", "levels": [1, "1"]}]
+        ))
+        with pytest.raises(SchemaMismatchError, match="duplicate levels"):
+            load_schema(schema_path)
+
     def test_int_levels_are_written_as_labels(self, tmp_path):
         schema = [
             ColumnSchema("X", "ordinal", "c", levels=(0, 1, 2)),

@@ -890,6 +890,68 @@ class TestSearchRounds:
         }
         assert where[("Y2", "A", ("B",))] < where[("Y1", "A", ("B",))]
 
+    def test_first_error_from_a_later_column(self):
+        # B copies A and the prior keeps them apart. At level 1 the pair
+        # A-Z is searched from A, then from Z, which raises conditioning on
+        # B; the search of Z-B from Z, later in Z's row, raises a round
+        # earlier, conditioning on A
+        rng = np.random.default_rng(43)
+        n = 300
+        a = rng.standard_normal(n)
+        columns = {
+            "A": a,
+            "Z": a + rng.standard_normal(n),
+            "W": a + rng.standard_normal(n),
+            "B": a.copy(),
+        }
+        ds = Dataset([ColumnSchema(c, "continuous", "c") for c in columns], columns)
+        test = discovery.mixed_ci_test(ds.view())
+        rounds = []
+        batch = test.prefetch
+
+        def prefetch(queries):
+            rounds.append(list(queries))
+            batch(queries)
+
+        test.prefetch = prefetch
+        got = same_as_sequential(
+            ds.view(), LearnConfig(do_possible_dsep=False),
+            PriorKnowledge.from_pairs(forbidden=[("A", "B")]), test,
+            reference_ci=discovery.mixed_ci_test(ds.view()),
+        )
+        assert got == (
+            SingularCorrelationError,
+            "correlation submatrix for ('Z', 'A' | ('B',)) is singular",
+        )
+        where = {
+            query: next(i for i, r in enumerate(rounds) if query in r)
+            for query in (("Z", "A", ("B",)), ("Z", "B", ("A",)))
+        }
+        assert where[("Z", "B", ("A",))] < where[("Z", "A", ("B",))]
+
+    def test_first_error_in_the_possible_dsep_stage(self):
+        # the skeleton keeps A-W, Z-W and Z-B, with colliders at W and Z,
+        # so B is in A's possible-d-sep set, and B copies A
+        rng = np.random.default_rng(44)
+        n = 300
+        a = rng.standard_normal(n)
+        z = a + rng.standard_normal(n)
+        columns = {"A": a, "Z": z, "W": 2 * a + z + rng.standard_normal(n), "B": a.copy()}
+        ds = Dataset([ColumnSchema(c, "continuous", "c") for c in columns], columns)
+        config = LearnConfig(max_cond_size=1, do_possible_dsep=True)
+        prior = PriorKnowledge.from_pairs(forbidden=[("A", "B"), ("Z", "A"), ("W", "B")])
+        skel = learn_skeleton(ds.view(), config, prior)
+        assert edge_set(skel.graph) == {
+            frozenset(p) for p in (("A", "W"), ("Z", "W"), ("Z", "B"))
+        }
+        got = same_as_sequential(
+            ds.view(), config, prior, reference_ci=discovery.mixed_ci_test(ds.view())
+        )
+        assert got == (
+            SingularCorrelationError,
+            "correlation submatrix for ('A', 'W' | ('B',)) is singular",
+        )
+
 
 class TestUnknownColumn:
     @pytest.fixture()
