@@ -68,7 +68,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 @contextmanager
 def _reading(what: str):
-    """Turn a missing or malformed input into a CausalTabError that names it."""
+    """Turn a missing or malformed input, or an unwritable output, into a named CausalTabError."""
     try:
         yield
     except (OSError, ValueError) as exc:
@@ -148,12 +148,15 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "synth":
         from .synth import make_clinical_synth
 
+        if args.seed < 0:
+            raise CausalTabError(f"seed must be >= 0, got {args.seed}")
         dataset, truth = make_clinical_synth(args.seed)
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        dataset.write_csv(outdir / "cohort.csv")
-        dataset.write_schema(outdir / "cohort.schema.json")
-        truth.save(outdir / "truth_graph.json")
+        with _reading(f"--out {outdir}"):
+            outdir.mkdir(parents=True, exist_ok=True)
+            dataset.write_csv(outdir / "cohort.csv")
+            dataset.write_schema(outdir / "cohort.schema.json")
+            truth.save(outdir / "truth_graph.json")
         print(f"wrote cohort.csv, cohort.schema.json, truth_graph.json to {outdir}")
         return 0
 
@@ -174,27 +177,31 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "step1":
         result = step1_per_category(dataset, config, ci_test)
-        write_step1(result, outdir)
+        with _reading(f"--out {outdir}"):
+            write_step1(result, outdir)
         print(f"selected features: {', '.join(result.selected_features)}")
         return 0
 
     if args.command == "step2":
         selected = _features_arg(args, "from_step1", "selected_features")
         result = step2_integrated(dataset, selected, config, ci_test)
-        write_step2(result, outdir, dataset)
+        with _reading(f"--out {outdir}"):
+            write_step2(result, outdir, dataset)
         print(f"tree features: {', '.join(result.tree_features)}")
         return 0
 
     if args.command == "step3":
         feats = _features_arg(args, "from_step2", "tree_features")
         result = step3_predictive(dataset, feats, config)
-        write_step3(result, outdir)
+        with _reading(f"--out {outdir}"):
+            write_step3(result, outdir)
         acc = result.cv_metrics.accuracy
         print(f"causal-feature CV accuracy: {acc:.3f} over {result.n_rows} rows")
         return 0
 
     report = run_full(dataset, config, ci_test)  # the "run" command
-    write_report(report, outdir, dataset)
+    with _reading(f"--out {outdir}"):
+        write_report(report, outdir, dataset)
     print(f"report written to {outdir}")
     return 0
 

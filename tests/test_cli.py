@@ -543,3 +543,21 @@ def test_summarize_without_outcome_split(cohort_dir, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["outcome"] is None and payload["outcome_levels"] is None
     assert all("counts_by_class" not in c for c in payload["columns"])
+
+
+def test_synth_with_a_negative_seed_is_one_line_error(tmp_path, capsys):
+    argv = ["synth", "--seed", "-1", "--out", str(tmp_path / "x")]
+    assert _one_line_error(capsys, argv) == "causaltab: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [("synth", "afile"), ("run", "afile"), ("step1", "afile/sub")],
+)
+def test_out_that_names_a_file_is_one_line_error(cohort_dir, tmp_path, capsys, command, out):
+    (tmp_path / "afile").write_text("taken\n")
+    out = str(tmp_path / out)
+    args = [] if command == "synth" else [*_data_args(cohort_dir), "--permutation-trials", "3"]
+    assert _one_line_error(capsys, [command, *args, "--out", out]).startswith(f"causaltab: --out {out}: ")
+    assert (tmp_path / "afile").read_text() == "taken\n"
