@@ -83,9 +83,11 @@ COHORT = ["--data", "cohort.csv", "--schema", "cohort.schema.json"]
 # causaltab argv, run in the directory, or functions of it: the seed-1 and
 # seed-4 cohorts and their runs; the seed-1 run with pd-sep under a prior
 # (the only searches here that read one) and with an overridden outcome of
-# three codes; the wide table; and a pd-sep step 1 on the binned cohort (the
-# only G^2 tables here with columns of more than 3 levels). A moved byte is
-# a change of content, which a change must declare
+# three codes; the wide table; a pd-sep step 1 on the binned cohort (the
+# only G^2 tables here with columns of more than 3 levels); and a step 3 on
+# the binned cohort whose CV trees and permutation trials cut those columns
+# (the only trees here scored on categorical columns of more than 3
+# levels). A moved byte is a change of content, which a change must declare
 BUILDS = [
     ["synth", "--seed", "1", "--out", "."],
     [*RUN, *COHORT, "--out", "run"],
@@ -97,6 +99,8 @@ BUILDS = [
     wide_table,
     binned_cohort,
     ["step1", "--data", "binned.csv", "--schema", "binned.schema.json", "--possible-dsep", "--out", "binned"],
+    ["step3", *RUN[1:], "--data", "binned.csv", "--schema", "binned.schema.json",
+     "--features", "AGE_BIN,PF_BIN,BUN_BIN,COPD", "--out", "binned3"],
 ]
 REFERENCE = {
     "cohort.csv": "a68d92a087fe2da719500e7e3c4ea806993a289fa9144d4d5a3e942a38114027",
@@ -109,6 +113,7 @@ REFERENCE = {
     "seed4/run/report.json": "53b15a9f0fe3d131c9c6ae66260a4a2432ea719d3d2616f7c2067192026fc1f6",
     "wide_table.csv": "d81481312a0283498ab767044e10380c6dcf099e75d974fec474b3148a289283",
     "binned/step1.json": "807dfd40754021c1213cb0a7da5cf3925e7c58b65f1d027034dc67cd6010d2a4",
+    "binned3/step3.json": "fac9060592fffdaac965fd24eb0d59d9921abb86b6445dbf5fd4e0ec517943c3",
 }
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -144,7 +146,22 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def _check_out(outdir: str) -> None:
+    """Fail at once, creating nothing, when ``--out`` is a file or lies below one.
+
+    The error is the one the writer would raise after the whole analysis.
+    """
+    path = Path(outdir)
+    ancestor = next((p for p in (path, *path.parents) if p.exists()), None)
+    if ancestor is not None and not ancestor.is_dir():
+        code = errno.EEXIST if ancestor == path else errno.ENOTDIR
+        with _reading(f"--out {outdir}"):
+            raise OSError(code, os.strerror(code), outdir)
+
+
 def _dispatch(args: argparse.Namespace) -> int:
+    if args.command != "summarize":
+        _check_out(args.out)
     if args.command == "synth":
         from .synth import make_clinical_synth
 

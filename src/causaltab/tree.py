@@ -5,31 +5,38 @@ declared outcome level, death in the clinical encoding) is the positive
 class throughout; leaf ties predict it since missing a death
 is the costlier triage error.
 
-``fit_tree`` presorts as CART does (Breiman et al. 1984) and keeps each
-feature's sorted rows contiguous, as SLIQ's attribute lists do (Mehta,
-Agrawal & Rissanen 1996): one stable argsort per feature per tree gives a
-features-major matrix, one row per feature, of flat indices into
-``X.T``. A node gathers its values and class flags with one ``take``
-each and scores all cuts of all its features, left and right sides
-stacked, in one vectorized pass, with the same floating-point Gini
-expression per cut and the same tie order (earliest feature, then
-smallest threshold) as a per-feature search over freshly sorted rows
-would, so the trees are identical. A split passes each child its part of
-the orders by one boolean mask.
+One grower builds every tree, breadth-first as SLIQ does (Mehta, Agrawal
+& Rissanen 1996). It reads a complete feature matrix once, sorts each
+continuous feature once, stably, as CART does (Breiman et al. 1984), and
+grows the trees of several row masks of it together, one depth level at a
+time: all live nodes of a level, of every tree, are segments of one
+vectorized pass. Each node's rows are kept once in any order and once
+sorted by each continuous feature, and a split partitions them stably,
+so no node sorts again. Two kernels score a level's cuts:
 
-``kfold_cv`` builds that presort once per cross-validation, from the
-whole view. Each fold's tree starts from it masked to the fold's training
-rows, again by one boolean mask: a stable sort restricted to a subset of
-the rows is the stable sort of that subset, so each fold grows the tree a
-fresh fit of its rows would. Each fold is scored on the test rows of the
-same feature matrix.
+- a continuous feature scores every cut between its sorted values from a
+  running count of class-0 rows;
+- a categorical feature (binary or ordinal codes) scores the boundaries
+  between the levels present in a node from class counts per (node,
+  feature, level), one ``bincount`` per depth level.
+
+Both use the same floating-point Gini expression per cut, and each
+node's per-feature minima are compared in declared feature order, so
+ties go to the earliest feature, then the smallest threshold: the trees
+are those of a per-node, per-feature search over freshly sorted rows.
+
+``kfold_cv`` reads its view once and hands the grower one row mask per
+fold: a stable sort restricted to a subset of the rows is the stable sort
+of that subset, so each fold's tree is the one a fresh fit of its
+training rows grows. Each fold is scored on the test rows of the same
+feature matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -126,65 +133,191 @@ def _leaf(counts: tuple[int, int]) -> Leaf:
     return Leaf(class_counts=counts, predicted=0 if counts[0] >= counts[1] else 1)
 
 
-def _best_split(
-    values: np.ndarray, is0: np.ndarray, order: np.ndarray
-) -> tuple[int, float, int, int] | None:
-    """(feature, threshold, rows left, class-0 rows left) of a node's best split.
+def _gini(c0, n0, m_left, m_right, n) -> np.ndarray:
+    """Weighted Gini of cuts that put ``c0`` of a node's ``n0`` class-0 rows left.
 
-    ``order`` is features-major: row f holds the node's rows sorted by
-    feature f, as flat indices into ``values`` (``X.T`` raveled) and
-    ``is0``. Cut i puts sorted rows 0..i left, and every cut of every
-    feature is scored in one pass over both sides; positions between
-    equal values score inf. The first minimum in features-major order is
-    the earliest feature's smallest threshold. None when no feature has a
-    cut.
+    The sides hold ``m_left`` and ``m_right`` rows (neither 0) of the
+    node's ``n``. ``m_left`` and ``m_right`` have one shape, and every
+    argument broadcasts against ``c0``.
     """
-    n_features, n = order.shape
-    if n_features == 0:
-        return None
-    sv = values.take(order)
-    ones = is0.take(order).cumsum(axis=1)
-    sizes = np.arange(1, n)
-    m = np.array((sizes, sizes[::-1]))[:, None]
-    c0 = ones[:, :-1]
-    p = np.array((c0, ones[:, -1:] - c0)) / m
+    m = np.array((m_left, m_right))
+    p = np.array((c0, n0 - c0)) / m
     gini = (1.0 - p**2 - (1.0 - p) ** 2) * m
-    weighted = (gini[0] + gini[1]) / n
-    weighted[sv[:, 1:] <= sv[:, :-1]] = np.inf
-    j, cut = divmod(int(weighted.argmin()), n - 1)
-    if weighted[j, cut] == np.inf:
-        return None
-    row = sv[j]
-    thr = float(0.5 * (row[cut] + row[cut + 1]))
-    # cut + 1 rows, unless the midpoint rounds onto a neighbouring value
-    rows_left = int(row.searchsorted(thr, side="right"))
-    return j, thr, rows_left, int(ones[j, rows_left - 1]) if rows_left else 0
+    return (gini[0] + gini[1]) / n
 
 
-class _Presort(NamedTuple):
-    """A complete feature matrix sorted once, features-major, for the trees grown on it."""
+class _Presort:
+    """A complete feature matrix read once, and the trees of its row masks.
 
-    XT: np.ndarray  # (F x n) and contiguous; flat indices index XT.ravel()
-    row_of: np.ndarray  # the row of each flat index
-    rows0: np.ndarray  # the class-0 flag of each row
-    is0: np.ndarray  # the class-0 flag of each flat index
-    order: np.ndarray  # (F x n): row f holds the rows sorted by feature f, as flat indices
-
-
-def _presort(view: DatasetView, features: list[str], y: np.ndarray) -> _Presort:
-    """Read the view's complete feature matrix and sort every feature of it once, stably.
-
-    ``y`` holds the view's outcome codes.
+    ``masks`` (T x n) holds one row mask per tree. The first request
+    (``tree``) grows every mask's tree together, to its ``max_depth``;
+    later requests hand them out.
     """
-    X = view.matrix(features)
-    if X.shape[0] == 0:
-        raise EmptyDataError("no rows to fit on")
-    n, n_features = X.shape
-    XT = np.ascontiguousarray(X.T)
-    row_of = np.tile(np.arange(n), n_features)
-    rows0 = y.astype(np.int64) == 0
-    order = np.argsort(XT, axis=1, kind="stable") + np.arange(0, XT.size, n)[:, None]
-    return _Presort(XT, row_of, rows0, rows0[row_of], order)
+
+    def __init__(self, view: DatasetView, features: list[str], y: np.ndarray, masks: np.ndarray):
+        X = view.matrix(features)
+        if X.shape[0] == 0:
+            raise EmptyDataError("no rows to fit on")
+        schemas = [view.schema_for(f) for f in features]
+        categorical = np.array([s.is_categorical for s in schemas], dtype=bool)
+        self.features = features
+        self.XT = np.ascontiguousarray(X.T)  # (F x n); flat indices index XT.ravel()
+        self.rows0 = y.astype(np.int64) == 0  # the class-0 flag of each row
+        self.masks = masks
+        self.continuous = np.flatnonzero(~categorical)
+        self.categorical = np.flatnonzero(categorical)
+        # row c: the rows sorted by continuous feature c, stably
+        self.order = np.argsort(self.XT[self.continuous], axis=1, kind="stable")
+        self.codes = self.XT[self.categorical].astype(np.intp)
+        self.n_levels = max((s.n_levels for s in schemas if s.is_categorical), default=0)
+        self._trees: list[TreeNode] | None = None
+
+    def tree(self, i: int, max_depth: int) -> TreeNode:
+        """The tree of row mask ``i``; the first request grows every mask's tree."""
+        if self._trees is None:
+            self._trees = _grow(self, max_depth)
+        return self._trees[i]
+
+
+def _grow(presort: _Presort, max_depth: int) -> list[TreeNode]:
+    """The tree of every row mask of ``presort``, grown together one depth level at a time.
+
+    The live nodes of a level (impure, at most ``max_depth`` deep) of all
+    trees are segments of one pass. ``rows`` holds each node's rows,
+    node after node: row 0 in any order, row 1 + c sorted by continuous
+    feature c. A split partitions every row of ``rows`` stably, so no node
+    sorts again, and only the children that are still live carry on.
+    """
+    XT, rows0, masks = presort.XT, presort.rows0, presort.masks
+    n_features, n = XT.shape
+    flat = XT.ravel()
+    n_rows = masks.sum(axis=1)
+    n0_rows = (masks & rows0).sum(axis=1)
+    root_live = (n0_rows > 0) & (n0_rows < n_rows) & (n_features > 0)
+    live = np.flatnonzero(root_live)
+    sizes, n0 = n_rows[live], n0_rows[live]
+    first = np.vstack((np.arange(n), presort.order))
+    keep = masks[live][:, first].transpose(1, 0, 2)
+    rows = np.broadcast_to(first[:, None, :], keep.shape)[keep].reshape(first.shape[0], -1)
+    levels = []
+    for depth in range(1, max_depth + 1):
+        n_nodes = sizes.size
+        if not n_nodes:
+            break
+        starts = np.concatenate(([0], sizes.cumsum()[:-1]))
+        seg = np.repeat(np.arange(n_nodes), sizes)
+        best = np.empty((n_features, n_nodes))
+        thresholds = np.empty((n_features, n_nodes))
+        if presort.continuous.size:
+            best[presort.continuous], thresholds[presort.continuous] = _score_continuous(
+                presort, flat, rows[1:], starts, seg, sizes, n0
+            )
+        if presort.categorical.size:
+            best[presort.categorical], thresholds[presort.categorical] = _score_categorical(
+                presort, rows[0], seg, sizes, n0
+            )
+        j = best.argmin(axis=0)
+        node = np.arange(n_nodes)
+        found, thr = best[j, node] < np.inf, thresholds[j, node]
+        # the counts come from routing, not from the cut's position: a
+        # midpoint that rounds onto the next value sends that value left too
+        goes_left = flat.take(j[seg] * n + rows) <= thr[seg]
+        n_left = np.add.reduceat(goes_left[0], starts, dtype=np.intp)
+        n0_left = np.add.reduceat(goes_left[0] & rows0[rows[0]], starts, dtype=np.intp)
+        child_sizes = np.array((n_left, sizes - n_left)).T.ravel()
+        child_n0 = np.array((n0_left, n0 - n0_left)).T.ravel()
+        child_live = (
+            np.repeat(found & (depth < max_depth), 2) & (child_n0 > 0) & (child_n0 < child_sizes)
+        )
+        levels.append((found, j, thr, n0, sizes, child_n0, child_sizes, child_live))
+        if not child_live.any():
+            break
+        order = np.argsort(2 * seg + ~goes_left, axis=1, kind="stable")
+        order = order[:, np.repeat(child_live, child_sizes)]
+        rows = rows.take(order + np.arange(0, rows.size, rows.shape[1])[:, None])
+        sizes, n0 = child_sizes[child_live], child_n0[child_live]
+    return _assemble(presort.features, levels, n0_rows, n_rows, root_live)
+
+
+def _score_continuous(presort, flat, rows, starts, seg, sizes, n0):
+    """(weighted Gini, threshold) of each continuous feature's best cut in each node.
+
+    Row c of ``rows`` holds each node's rows sorted by continuous feature
+    c. Cut i puts a node's sorted rows up to i left; a node's last
+    position and positions between equal values score inf. The first
+    minimum of a node is its smallest threshold.
+    """
+    n_cont, size = rows.shape
+    sv = flat.take(rows + (presort.continuous * presort.XT.shape[1])[:, None])
+    ones = np.zeros((n_cont, size + 1), dtype=np.intp)
+    np.cumsum(presort.rows0.take(rows), axis=1, out=ones[:, 1:])
+    start = starts[seg]
+    c0 = ones[:, 1:] - ones[:, start]
+    n = sizes[seg]
+    m_left = (np.arange(1, size + 1) - start)[None]
+    last = m_left == n
+    # a node's last position has no right side; it scores inf below
+    weighted = _gini(c0, n0[seg], m_left, n - m_left + last, n)
+    tie = np.ones((n_cont, size), dtype=bool)
+    tie[:, :-1] = sv[:, 1:] <= sv[:, :-1]
+    weighted[tie | last] = np.inf
+    low = np.minimum.reduceat(weighted, starts, axis=1)
+    at = np.where(weighted == low[:, seg], np.arange(size), size)
+    cut = np.minimum.reduceat(at, starts, axis=1)
+    col = np.arange(n_cont)[:, None]
+    return low, 0.5 * (sv[col, cut] + sv[col, cut + 1])
+
+
+def _score_categorical(presort, rows, seg, sizes, n0):
+    """(weighted Gini, threshold) of each categorical feature's best cut in each node.
+
+    One ``bincount`` over the nodes' ``rows`` counts each class per
+    (feature, node, level); the cuts lie between consecutive levels
+    present in the node, and the first minimum is the smallest threshold.
+    """
+    codes, n_levels = presort.codes, presort.n_levels
+    n_cat, n_nodes = codes.shape[0], sizes.size
+    cell = (np.arange(n_cat)[:, None] * n_nodes + seg) * n_levels + codes[:, rows]
+    counts = np.bincount(
+        (2 * cell + ~presort.rows0[rows]).ravel(), minlength=2 * n_cat * n_nodes * n_levels
+    ).reshape(n_cat, n_nodes, n_levels, 2)
+    seen = counts.any(axis=3)
+    cum = counts.cumsum(axis=2)
+    c0, m_left, n = cum[..., 0], cum.sum(axis=3), sizes[:, None]
+    valid = seen & (m_left < n)
+    weighted = _gini(c0, n0[:, None], np.where(valid, m_left, 1), np.where(valid, n - m_left, 1), n)
+    weighted[~valid] = np.inf
+    level = weighted.argmin(axis=2)
+    low = weighted.min(axis=2)
+    above = (seen & (np.arange(n_levels) > level[..., None])).argmax(axis=2)
+    return low, 0.5 * (level + above)
+
+
+def _assemble(features, levels, n0_rows, n_rows, root_live) -> list[TreeNode]:
+    """The trees of ``_grow``'s levels, built from the deepest level up.
+
+    A node without a cut has two child slots too; their leaves are dropped.
+    """
+
+    def slots(n0, sizes, live, grown):
+        grown = iter(grown)
+        return [
+            next(grown) if g else _leaf((c0, m - c0))
+            for g, c0, m in zip(live.tolist(), n0.tolist(), sizes.tolist())
+        ]
+
+    below: list[TreeNode] = []
+    for found, j, thr, n0, sizes, child_n0, child_sizes, child_live in reversed(levels):
+        child = slots(child_n0, child_sizes, child_live, below)
+        below = [
+            Split(features[f], t, child[2 * s], child[2 * s + 1], (c0, m - c0))
+            if split
+            else _leaf((c0, m - c0))
+            for s, (split, f, t, c0, m) in enumerate(
+                zip(found.tolist(), j.tolist(), thr.tolist(), n0.tolist(), sizes.tolist())
+            )
+        ]
+    return slots(n0_rows, n_rows, root_live, below)
 
 
 def fit_tree(
@@ -193,88 +326,48 @@ def fit_tree(
     outcome: str,
     max_depth: int,
     *,
-    presorted: tuple[_Presort, np.ndarray] | None = None,
+    presorted: tuple[_Presort, int] | None = None,
 ) -> TreeNode:
     """Greedy Gini partitioning, depth counted in splits along a path.
 
     Every feature splits at a midpoint of consecutive distinct values; a
     binary feature's only cut lies between its two codes. Ties in
     impurity prefer the earliest feature in declared order, then the
-    smallest threshold. Value <= threshold routes left.
+    smallest threshold. Value <= threshold routes left. A node that is
+    pure, at ``max_depth`` or without a cut is a leaf.
 
-    The rows are sorted by every feature once, stably, into one
-    features-major matrix of flat indices into ``X.T``. ``kfold_cv`` sorts
-    its view once and passes that presort with the fold's training rows
-    as ``presorted`` (a row mask of the presorted view; ``view`` is then
-    those rows, in the same order). The root's orders are then the
-    presort masked to those rows: a stable sort restricted to a subset is
-    the stable sort of the subset, so the tree is the one a fresh fit of
-    ``view`` grows.
+    The tree grows level by level through the module's one grower, which
+    scores continuous features from their presorted values and
+    categorical ones from class counts per level (see the module
+    docstring). ``kfold_cv`` passes ``presorted=(presort, f)``: the view's
+    presort, which holds one row mask per fold, and the index of this
+    fold's mask (``view`` is then those rows, in the same order). The
+    first such call grows the trees of every mask together; each call
+    returns its own, the tree a fresh fit of ``view`` grows.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    features = list(features)
     if presorted is None:
-        presort = _presort(view, features, view.matrix([outcome])[:, 0])
-        presorted = presort, np.ones(presort.rows0.size, dtype=bool)
-    presort, rows = presorted
-    n, n0 = int(np.count_nonzero(rows)), int(np.count_nonzero(presort.rows0 & rows))
-    keep = rows.take(presort.row_of.take(presort.order))
-    return _grow(presort, features, max_depth, presort.order, keep, (n0, n - n0), 1)
-
-
-def _grow(
-    presort: _Presort,
-    features: list[str],
-    max_depth: int,
-    order: np.ndarray,
-    keep: np.ndarray,
-    counts: tuple[int, int],
-    depth: int,
-) -> TreeNode:
-    """The subtree of the node at ``depth`` whose entries of ``order`` ``keep`` flags.
-
-    ``order`` is the parent's features-major orders. The node compresses
-    them to its own, so a split hands each child its part by one boolean
-    mask, a stable partition, and no node sorts again. A child that a
-    split leaves pure, or at ``max_depth``, is a leaf without a search.
-    """
-    if not all(counts):
-        return _leaf(counts)
-    XT, row_of = presort.XT, presort.row_of
-    order = order.compress(keep.ravel()).reshape(XT.shape[0], sum(counts))
-    found = _best_split(XT.ravel(), presort.is0, order)
-    if found is None:
-        return _leaf(counts)
-    j, thr, rows_left, c0_left = found
-    left = (c0_left, rows_left - c0_left)
-    right = (counts[0] - left[0], counts[1] - left[1])
-    if depth == max_depth or not (all(left) or all(right)):
-        return Split(features[j], thr, _leaf(left), _leaf(right), counts)
-    goes_left = (XT[j] <= thr).take(row_of.take(order))
-    return Split(
-        features[j],
-        thr,
-        _grow(presort, features, max_depth, order, goes_left, left, depth + 1),
-        _grow(presort, features, max_depth, order, ~goes_left, right, depth + 1),
-        counts,
-    )
+        y = view.matrix([outcome])[:, 0]
+        presorted = _Presort(view, list(features), y, np.ones((1, y.size), dtype=bool)), 0
+    presort, i = presorted
+    return presort.tree(i, max_depth)
 
 
 def predict_matrix(
     tree: TreeNode, X: np.ndarray, feature_index: Mapping[str, int]
 ) -> np.ndarray:
-    """Vectorized predictions for a coded feature matrix; value <= threshold routes left."""
-    out = np.empty(X.shape[0], dtype=np.int64)
-    stack = [(tree, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if isinstance(node, Leaf):
-            out[idx] = node.predicted
-            continue
-        mask = X[idx, feature_index[node.feature]] <= node.threshold
-        stack += [(node.left, idx[mask]), (node.right, idx[~mask])]
-    return out
+    """Predictions for a coded feature matrix, each row walked down the tree.
+
+    Value <= threshold routes left.
+    """
+    preds = []
+    for row in X.tolist():
+        node = tree
+        while isinstance(node, Split):
+            node = node.left if row[feature_index[node.feature]] <= node.threshold else node.right
+        preds.append(node.predicted)
+    return np.array(preds, dtype=np.int64)
 
 
 def evaluate(tree: TreeNode, view: DatasetView, outcome: str) -> Metrics:
@@ -339,9 +432,11 @@ def kfold_cv(
     """Stratified k-fold cross-validation; rates are fold averages.
 
     The view's outcome codes are read once, and its feature matrix is
-    checked and presorted once. Each fold's tree grows from that presort
-    masked to the fold's training rows (see ``fit_tree``), and is scored
-    on the test rows of the same matrix.
+    checked and presorted once, with one training-row mask per fold. Each
+    fold still calls ``fit_tree`` with its training view: the first call
+    grows all k fold trees together, level by level, and each returns its
+    fold's tree (see ``fit_tree``). Each fold's tree is then scored on the
+    test rows of the same matrix.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -355,16 +450,15 @@ def kfold_cv(
     for f, test in enumerate(tests):
         if not test.any() or test.all():
             raise TooFewRowsError(f"fold {f} is empty with k={k}, n={view.n_rows}")
-    presort = _presort(view, features, y)
+    presort = _Presort(view, features, y, ~np.array(tests))
     X = presort.XT.T
     index = {f: j for j, f in enumerate(features)}
 
     sums = np.zeros(4)
     pooled = np.zeros(4, dtype=np.int64)
-    for test in tests:
-        train = ~test
-        train_view = DatasetView(view.source, view.columns, view.rows[train])
-        tree = fit_tree(train_view, features, outcome, max_depth, presorted=(presort, train))
+    for f, test in enumerate(tests):
+        train_view = DatasetView(view.source, view.columns, view.rows[~test])
+        tree = fit_tree(train_view, features, outcome, max_depth, presorted=(presort, f))
         m = _score(predict_matrix(tree, X[test], index), y[test])
         sums += (m.sensitivity, m.specificity, m.f1, m.accuracy)
         pooled += (m.tp, m.fn, m.tn, m.fp)

@@ -561,3 +561,22 @@ def test_out_that_names_a_file_is_one_line_error(cohort_dir, tmp_path, capsys, c
     args = [] if command == "synth" else [*_data_args(cohort_dir), "--permutation-trials", "3"]
     assert _one_line_error(capsys, [command, *args, "--out", out]).startswith(f"causaltab: --out {out}: ")
     assert (tmp_path / "afile").read_text() == "taken\n"
+
+
+@pytest.mark.parametrize("command", ["run", "step1", "step2", "step3"])
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_that_names_a_file_fails_before_the_data_is_loaded(
+    cohort_dir, tmp_path, capsys, monkeypatch, command, out
+):
+    import causaltab.cli
+
+    def load_csv(*args):
+        raise AssertionError("the data was loaded")
+
+    monkeypatch.setattr(causaltab.cli, "load_csv", load_csv)
+    (tmp_path / "afile").write_text("taken\n")
+    out = str(tmp_path / out)
+    features = ["--features", "AGE"] if command in ("step2", "step3") else []
+    argv = [command, *_data_args(cohort_dir), *features, "--out", out]
+    assert _one_line_error(capsys, argv).startswith(f"causaltab: --out {out}: [Errno ")
+    assert (tmp_path / "afile").read_text() == "taken\n"

@@ -328,6 +328,101 @@ class TestFitTreeMatchesReference:
         assert tree == reference_fit_tree(ds.view(), [], "Y", max_depth=2) == Leaf((1, 2), 1)
 
 
+def binned_cohort():
+    """The seed-1 cohort plus AGE, PF and BUN binned into 4-, 5- and 5-level ordinals."""
+    ds = make_clinical_synth(1)[0]
+    schema, coded = list(ds.schema), {c: ds.coded(c) for c in ds.column_names}
+    for name, k in (("AGE", 4), ("PF", 5), ("BUN", 5)):
+        cuts = np.nanquantile(coded[name], np.arange(1, k) / k)
+        coded[name + "_BIN"] = np.where(np.isnan(coded[name]), np.nan, np.searchsorted(cuts, coded[name]))
+        levels = tuple(str(i) for i in range(k))
+        schema.insert(-1, ColumnSchema(name + "_BIN", "ordinal", "prior_diseases", levels=levels))
+    return Dataset(schema, coded)
+
+
+class TestLevelWiseGrower:
+    """Edge cases of growing the trees of many row masks together, against the oracles."""
+
+    @staticmethod
+    def same_as_reference(view, feats, outcome, ks=(2, 5, 10), depths=(1, 2, 4, 6)):
+        for depth in depths:
+            assert fit_tree(view, feats, outcome, depth) == reference_fit_tree(
+                view, feats, outcome, depth
+            ), (feats, depth)
+            for k in ks:
+                args = (view, feats, outcome, k, depth, depth + k)
+                assert kfold_cv(*args) == reference_kfold_cv(*args), (feats, k, depth)
+
+    def test_ordinal_level_missing_from_a_node(self):
+        # where A = 0, X takes only its end levels 0 and 4, so the nodes
+        # below a split on A see X's levels with a gap, and cut at 2.0
+        rng = np.random.default_rng(71)
+        gap_cut = False
+        for _ in range(20):
+            n = 80
+            a = rng.integers(0, 2, n)
+            x = np.where(a == 1, rng.integers(0, 5, n), 4 * rng.integers(0, 2, n))
+            y = (rng.random(n) < 0.15 + 0.35 * a + 0.12 * x).astype(float) % 2
+            ds = Dataset(
+                [
+                    ColumnSchema("A", "binary", "c", levels=("0", "1")),
+                    ColumnSchema("X", "ordinal", "c", levels=tuple("01234")),
+                    ColumnSchema("Y", "binary", "outcome", levels=("0", "1")),
+                ],
+                {"A": a.astype(float), "X": x.astype(float), "Y": y},
+            )
+            self.same_as_reference(ds.view(), ["A", "X"], "Y", ks=(2, 5), depths=(2, 3))
+            tree = fit_tree(ds.view(), ["A", "X"], "Y", 3)
+            gap_cut |= any(
+                isinstance(node, Split) and node.feature == "X" and node.threshold == 2.0
+                for node, _ in iter_nodes(tree)
+            )
+        assert gap_cut
+
+    def test_binned_ordinals(self):
+        ds = binned_cohort()
+        for feats in (
+            ["AGE_BIN", "PF_BIN", "BUN_BIN"],
+            ["AGE_BIN", "PF_BIN", "BUN_BIN", "COPD", "CREATININE"],
+            ["MYALGIA", "PF_BIN", "AGE", "BUN_BIN"],
+        ):
+            view = complete_cases(ds, [*feats, "OUTCOME"])
+            self.same_as_reference(view, feats, "OUTCOME")
+            splits = [n for n, _ in iter_nodes(fit_tree(view, feats, "OUTCOME", 6)) if isinstance(n, Split)]
+            assert any(n.feature.endswith("_BIN") and n.threshold % 1 == 0.5 for n in splits)
+
+    def test_all_categorical_all_continuous_and_no_features(self):
+        ds = make_clinical_synth(4)[0]
+        categorical = ["COPD", "MYALGIA", "SMOKE_EXYN", "DIARRHEA"]
+        continuous = ["AGE", "PF", "CREATININE"]
+        assert all(ds.schema_for(f).is_categorical for f in categorical)
+        assert not any(ds.schema_for(f).is_categorical for f in continuous)
+        for feats in (categorical, continuous, []):
+            view = complete_cases(ds, [*feats, "OUTCOME"])
+            self.same_as_reference(view, feats, "OUTCOME")
+
+    def test_two_folds_and_pure_roots(self):
+        # one class-0 row: the training rows of the fold that tests it are
+        # all class 1, so that fold's root is a leaf; one class only: every
+        # root is a leaf
+        rng = np.random.default_rng(73)
+        for y in (np.r_[0, np.ones(29)], np.ones(30), np.zeros(30)):
+            ds = numeric_dataset({"X": rng.normal(size=30), "B": rng.integers(0, 2, 30), "Y": y},
+                                 binary=("B", "Y"))
+            self.same_as_reference(ds.view(), ["X", "B"], "Y", ks=(2, 3, 5), depths=(1, 3))
+
+    def test_deep_trees_store_only_the_nodes_made(self):
+        # labels alternating along X: Gini peels the path one or two rows at
+        # a time, 40 splits deep, so a grower that kept 2^depth node slots
+        # per level could not finish
+        ds = numeric_dataset({"X": np.arange(64.0), "Y": np.arange(64) % 2})
+        tree = fit_tree(ds.view(), ["X"], "Y", max_depth=40)
+        assert tree == reference_fit_tree(ds.view(), ["X"], "Y", max_depth=40)
+        assert tree_depth(tree) == 40 and sum(1 for _ in iter_nodes(tree)) < 200
+        args = (ds.view(), ["X"], "Y", 4, 40, 3)
+        assert kfold_cv(*args) == reference_kfold_cv(*args)
+
+
 class TestPredict:
     def test_leaf_only_tree(self):
         leaf = Leaf(class_counts=(3, 1), predicted=0)
